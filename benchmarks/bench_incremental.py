@@ -32,7 +32,7 @@ import pytest
 
 from repro.domains.equality import EqualityDomain
 from repro.engine.answer_cache import AnswerCache
-from repro.engine.plans import IncrementalAlgebraPlan
+from repro.engine.plans import STRATEGY_RUNGS, AlgebraPlan
 from repro.experiments.corpora import family_state
 from repro.experiments.exp01_intro_queries import (
     grandfather_query,
@@ -82,7 +82,9 @@ def test_perf_incremental_delta_repeat(benchmark, generations):
     def fresh_warm_plan():
         # A fresh cache materialised on the *base* state, so the timed call
         # below exercises the ΔQ maintenance path (not a fingerprint hit).
-        plan = IncrementalAlgebraPlan(domain=domain, answer_cache=AnswerCache())
+        plan = AlgebraPlan(
+            domain=domain, rungs=STRATEGY_RUNGS["incremental"], answer_cache=AnswerCache()
+        )
         for query in queries:
             plan.execute(query, state)
         return (plan,), {}
@@ -93,7 +95,9 @@ def test_perf_incremental_delta_repeat(benchmark, generations):
     fast = benchmark.pedantic(
         run_repeat, setup=fresh_warm_plan, iterations=1, rounds=5
     )
-    plan = IncrementalAlgebraPlan(domain=domain, answer_cache=AnswerCache())
+    plan = AlgebraPlan(
+        domain=domain, rungs=STRATEGY_RUNGS["incremental"], answer_cache=AnswerCache()
+    )
     for query in queries:
         plan.execute(query, state)
         plan.execute(query, mutated)

@@ -28,11 +28,10 @@ from ..engine.plan_cache import PlanCache, PlanCacheInfo
 from ..engine.plans import (
     STRATEGIES,
     ActiveDomainPlan,
-    CompiledAlgebraPlan,
+    AlgebraPlan,
     EnumerationPlan,
     GuardedOutcome,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     Plan,
 )
 from ..relational.state import Delta
@@ -43,8 +42,7 @@ __all__ = [
     "connect", "Session", "SessionError", "QueryAnalysis", "QueryResult",
     "Planner", "PlanError",
     "Budget", "BudgetClock",
-    "Plan", "ActiveDomainPlan", "CompiledAlgebraPlan", "EnumerationPlan",
-    "IncrementalAlgebraPlan",
+    "Plan", "ActiveDomainPlan", "AlgebraPlan", "EnumerationPlan",
     "GuardedPlan", "GuardedOutcome", "STRATEGIES",
     "PlanCache", "PlanCacheInfo",
     "AnswerCache", "AnswerCacheInfo", "Delta",

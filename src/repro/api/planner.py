@@ -9,9 +9,9 @@ request into a concrete :class:`~repro.engine.plans.Plan`:
 * ``"guarded"`` — like ``"auto"`` but fails loudly when no guard exists
   (e.g. the trace domain, Theorems 3.1/3.3);
 * ``"active-domain"`` / ``"compiled"`` / ``"vectorized"`` / ``"parallel"`` /
-  ``"enumeration"`` — force a bare strategy, bypassing the guards (useful for
-  studying budget exhaustion on infinite queries, or for benchmarking one
-  execution substrate directly).
+  ``"incremental"`` / ``"enumeration"`` — force a bare strategy, bypassing
+  the guards (useful for studying budget exhaustion on infinite queries, or
+  for benchmarking one execution substrate directly).
 
 Every returned plan answers :meth:`~repro.engine.plans.Plan.explain` with the
 reason for the choice.
@@ -19,13 +19,21 @@ reason for the choice.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from ..domains.base import Domain
 from ..engine.answer_cache import AnswerCache
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache
-from ..engine.plans import STRATEGIES, Plan, plan_for_strategy
+from ..engine.plans import (
+    STRATEGIES,
+    STRATEGY_RUNGS,
+    ActiveDomainPlan,
+    AlgebraPlan,
+    GuardedPlan,
+    Plan,
+    plan_for_strategy,
+)
 from ..relational.state import Element
 from ..safety.effective_syntax import EffectiveSyntax
 from ..safety.relative_safety import RelativeSafetyDecider
@@ -47,9 +55,7 @@ class Planner:
         syntax: Optional[EffectiveSyntax] = None,
         safety: Optional[RelativeSafetyDecider] = None,
         finite_is_domain_independent: bool = False,
-        supports_compiled_algebra: bool = False,
-        supports_vectorized: bool = False,
-        supports_parallel: bool = False,
+        substrates: Tuple[str, ...] = (),
         finite_carrier: bool = False,
         plan_cache: Optional[PlanCache] = None,
         answer_cache: Optional[AnswerCache] = None,
@@ -58,9 +64,7 @@ class Planner:
         self._syntax = syntax
         self._safety = safety
         self._finite_is_di = finite_is_domain_independent
-        self._compilable = supports_compiled_algebra
-        self._vectorizable = supports_vectorized
-        self._parallelizable = supports_parallel
+        self._substrates = tuple(substrates)
         self._finite_carrier = finite_carrier
         self._plan_cache = plan_cache
         self._answer_cache = answer_cache
@@ -104,26 +108,11 @@ class Planner:
             # Section 2: over this domain every finite query is
             # domain-independent, so once the guard certifies finiteness,
             # active-domain evaluation is exact — and far cheaper than the
-            # Section 1.1 enumeration.  The same ladder is exact for domains
-            # whose *carrier* is finite: the active domain is extended with
-            # the whole carrier, so evaluation ranges over every element the
-            # semantics ranges over.  When the domain additionally supports
-            # the compiled relational-algebra backend, prefer it: same
-            # active-domain answer, computed set-at-a-time — when its
-            # carriers also encode to int64 columns, prefer the vectorized
-            # columnar executor over the set executor — and when the registry
-            # additionally flags the domain parallel-capable, put the
-            # morsel-parallel substrate on top of the ladder (its size
-            # heuristic keeps small states single-threaded).
-            from ..engine.plans import (
-                ActiveDomainPlan,
-                CompiledAlgebraPlan,
-                GuardedPlan,
-                IncrementalAlgebraPlan,
-                ParallelAlgebraPlan,
-                VectorizedAlgebraPlan,
-            )
-
+            # Section 1.1 enumeration.  The same holds for domains whose
+            # *carrier* is finite: the active domain is extended with the
+            # whole carrier, so evaluation ranges over every element the
+            # semantics ranges over.  The domain's registered substrates are
+            # the ladder that computes that one answer, fastest rung first.
             extras = tuple(extra_elements)
             if self._finite_carrier:
                 extras += tuple(self._domain.carrier_elements())
@@ -136,59 +125,29 @@ class Planner:
                     f"over {self._domain.name!r} every finite query is "
                     "domain-independent"
                 )
-            if self._answer_cache is not None and self._compilable:
-                # An incremental session: answers are materialised once and
-                # patched by ΔQ rules across mutations, so answer reuse beats
-                # even the columnar substrates on the repeat-query path.
-                inner: Plan = IncrementalAlgebraPlan(
+            rungs = self._substrates
+            if self._answer_cache is not None and "compiled" in rungs:
+                # Answer reuse beats even the columnar rungs on the
+                # repeat-query path of an incremental session.
+                rungs = STRATEGY_RUNGS["incremental"]
+            budget = budget if budget is not None else Budget()
+            if rungs:
+                inner: Plan = AlgebraPlan(
                     domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
+                    budget=budget,
                     extra_elements=extras,
+                    rungs=rungs,
                     cache=self._plan_cache,
                     answer_cache=self._answer_cache,
-                    reason=f"{basis} and the session opted into incremental "
-                    "evaluation, so guard-certified answers are materialised "
-                    "once and patched by ΔQ rules when the state mutates",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable and self._vectorizable and self._parallelizable:
-                inner = ParallelAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis} and carriers encode to int64 columns, "
-                    "so guard-certified queries are answered by the vectorized "
-                    "columnar executor, morsel-parallel on large states "
-                    "(exact, set semantics)",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable and self._vectorizable:
-                inner = VectorizedAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis} and carriers encode to int64 columns, "
-                    "so guard-certified queries are answered by the vectorized "
-                    "NumPy columnar executor (exact, set semantics)",
-                    cancel_token=cancel_token,
-                )
-            elif self._compilable:
-                inner = CompiledAlgebraPlan(
-                    domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
-                    extra_elements=extras,
-                    cache=self._plan_cache,
-                    reason=f"{basis}, so guard-certified queries are "
-                    "answered by the compiled relational-algebra backend "
-                    "(set-at-a-time, exact)",
+                    reason=f"{basis}, so guard-certified queries are answered "
+                    "exactly by the first rung of the domain's substrate "
+                    "ladder that applies",
                     cancel_token=cancel_token,
                 )
             else:
                 inner = ActiveDomainPlan(
                     domain=self._domain,
-                    budget=budget if budget is not None else Budget(),
+                    budget=budget,
                     extra_elements=extras,
                     reason=f"{basis}, so active-domain evaluation is exact for "
                     "guard-certified finite queries",

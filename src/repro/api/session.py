@@ -161,9 +161,10 @@ class Session:
         self._safety = safety if guard else None
         self._syntax = syntax if guard else None
         # The plan cache makes repeated queries skip calculus→algebra
-        # compilation; it is keyed by (formula, schema fingerprint, domain,
-        # substrate), so states may vary freely between calls and the two
-        # algebra substrates never collide.  Passing ``plan_cache=`` shares
+        # compilation; it is keyed by (formula, schema fingerprint, domain),
+        # so states may vary freely between calls, and one entry (the
+        # compiled plan plus its static vectorization obstacle) serves every
+        # rung of every algebra strategy.  Passing ``plan_cache=`` shares
         # one (thread-safe) cache across sessions — the serving layer uses
         # this so every session warms every other's plans.
         self._plan_cache = (
@@ -182,15 +183,7 @@ class Session:
             finite_is_domain_independent=(
                 entry is not None and entry.finite_implies_domain_independent
             ),
-            supports_compiled_algebra=(
-                entry is not None and entry.supports_compiled_algebra
-            ),
-            supports_vectorized=(
-                entry is not None and entry.supports_vectorized
-            ),
-            supports_parallel=(
-                entry is not None and entry.supports_parallel
-            ),
+            substrates=entry.substrates if entry is not None else (),
             finite_carrier=(
                 entry is not None and entry.finite_carrier
             ),

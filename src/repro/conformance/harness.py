@@ -22,7 +22,7 @@ runs seven families of checks — no per-domain test code required:
 5. **delta-equivalence** — for packs with a compiled substrate, a sequence
    of randomized interleaved insert/delete deltas applied through
    :meth:`~repro.relational.state.DatabaseState.apply` and answered by the
-   incremental substrate (:class:`~repro.engine.plans.IncrementalAlgebraPlan`)
+   incremental rung of :class:`~repro.engine.plans.AlgebraPlan`
    matches a rebuilt-from-scratch evaluation after every mutation, and the
    ΔQ maintenance path genuinely engages at least once.
 6. **bench-smoke** — all queries on a ``bench_size``-row random state finish
@@ -53,11 +53,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from ..domains.base import Domain
 from ..domains.packs import DomainPack, available_packs, get_pack
 from ..engine.budget import Budget
-from ..engine.plans import (
-    CompiledAlgebraPlan,
-    ParallelAlgebraPlan,
-    VectorizedAlgebraPlan,
-)
+from ..engine.plans import RUNGS, STRATEGY_RUNGS, AlgebraPlan
 from ..logic.formulas import ForAll, Not, walk_formulas
 from ..relational.calculus import evaluate_query_active_domain
 from ..relational.columnar import HAVE_NUMPY
@@ -156,32 +152,21 @@ def _reference_rows(
     return frozenset(relation.rows)
 
 
-def _substrate_plans(pack: DomainPack, domain: Domain, extras):
-    """The (name, plan) pairs for every substrate the pack claims."""
+def _substrate_plans(pack: DomainPack, domain: Domain, extras, **options):
+    """The (method, plan) pairs for every substrate the pack claims, bottom
+    rung first; ``options`` go to every :class:`AlgebraPlan`."""
     plans = []
-    if pack.supports_compiled_algebra:
-        plans.append((
-            "compiled-algebra",
-            CompiledAlgebraPlan(domain=domain, budget=Budget(), extra_elements=extras),
-        ))
-    if pack.supports_vectorized and HAVE_NUMPY:
-        plans.append((
-            "vectorized",
-            VectorizedAlgebraPlan(domain=domain, budget=Budget(), extra_elements=extras),
-        ))
-    if pack.supports_parallel and HAVE_NUMPY:
+    for name in reversed(pack.substrates):
+        if RUNGS[name].columnar and not HAVE_NUMPY:
+            continue
         # threshold 1 forces the worker pool even on tiny states, so the
         # parallel path itself (not its small-state shortcut) is what runs
-        plans.append((
-            "parallel",
-            ParallelAlgebraPlan(
-                domain=domain,
-                budget=Budget(),
-                extra_elements=extras,
-                parallel_threshold=1,
-                morsel_rows=3,
-            ),
-        ))
+        plan = AlgebraPlan(
+            domain=domain, budget=Budget(), extra_elements=extras,
+            rungs=STRATEGY_RUNGS[name], parallel_threshold=1, morsel_rows=3,
+            **options,
+        )
+        plans.append((RUNGS[name].method, plan))
     return plans
 
 
@@ -431,7 +416,7 @@ def _check_delta_equivalence(
 ) -> CheckResult:
     """Interleaved insert/delete deltas answered incrementally must match a
     rebuilt-from-scratch evaluation after every mutation."""
-    if not pack.supports_compiled_algebra:
+    if "compiled" not in pack.substrates:
         return CheckResult(
             "delta-equivalence",
             True,
@@ -443,7 +428,6 @@ def _check_delta_equivalence(
             "delta-equivalence", True, "skipped: no state factory declared"
         )
     from ..engine.answer_cache import AnswerCache
-    from ..engine.plans import IncrementalAlgebraPlan
 
     extras = _carrier_extras(pack, domain)
     problems: List[str] = []
@@ -457,10 +441,11 @@ def _check_delta_equivalence(
             state = corpus.state_factory(rng, 3)
             pool = corpus.state_factory(rng, 8)
             cache = AnswerCache()
-            plan = IncrementalAlgebraPlan(
+            plan = AlgebraPlan(
                 domain=domain,
                 budget=Budget(),
                 extra_elements=extras,
+                rungs=STRATEGY_RUNGS["incremental"],
                 answer_cache=cache,
             )
             for step in range(5):
@@ -523,7 +508,7 @@ def _check_faults(
     :class:`~repro.engine.budget.EvaluationInterrupted`).  Wrong rows, an
     unstructured crash, or blowing the watchdog fail the check.
     """
-    if not pack.supports_compiled_algebra:
+    if "compiled" not in pack.substrates:
         return CheckResult(
             "faults", True, "skipped: no algebra substrates to inject faults into"
         )
@@ -535,7 +520,6 @@ def _check_faults(
     from ..engine.answer_cache import AnswerCache
     from ..engine.breaker import SubstrateBreaker
     from ..engine.budget import EvaluationInterrupted
-    from ..engine.plans import IncrementalAlgebraPlan
     from ..serve.plan_store import PersistentPlanCache, PlanStore
     from ..testing import faults
 
@@ -571,35 +555,15 @@ def _check_faults(
         breaker = SubstrateBreaker()
         cache = PersistentPlanCache(maxsize=64, store=PlanStore(tmp_dir))
         for corpus, steps in scenarios:
-            plans = [(
-                "compiled-algebra",
-                CompiledAlgebraPlan(
-                    domain=domain, budget=Budget(), extra_elements=extras,
-                    cache=cache, breaker=breaker,
-                ),
-            )]
-            if pack.supports_vectorized and HAVE_NUMPY:
-                plans.append((
-                    "vectorized",
-                    VectorizedAlgebraPlan(
-                        domain=domain, budget=Budget(), extra_elements=extras,
-                        cache=cache, breaker=breaker,
-                    ),
-                ))
-            if pack.supports_parallel and HAVE_NUMPY:
-                plans.append((
-                    "parallel",
-                    ParallelAlgebraPlan(
-                        domain=domain, budget=Budget(), extra_elements=extras,
-                        cache=cache, breaker=breaker,
-                        parallel_threshold=1, morsel_rows=3,
-                    ),
-                ))
+            plans = _substrate_plans(
+                pack, domain, extras, cache=cache, breaker=breaker
+            )
             plans.append((
                 "incremental",
-                IncrementalAlgebraPlan(
+                AlgebraPlan(
                     domain=domain, budget=Budget(), extra_elements=extras,
-                    cache=cache, answer_cache=AnswerCache(), breaker=breaker,
+                    rungs=STRATEGY_RUNGS["incremental"], cache=cache,
+                    answer_cache=AnswerCache(), breaker=breaker,
                 ),
             ))
             for substrate, plan in plans:
@@ -682,7 +646,7 @@ def _check_bench_smoke(pack: DomainPack, domain: Domain) -> CheckResult:
         rng = random.Random(f"bench/{pack.name}/{corpus.name}")
         state = corpus.state_factory(rng, pack.bench_size)
         for pq in corpus.queries:
-            if pack.supports_compiled_algebra:
+            if "compiled" in pack.substrates:
                 try:
                     compiled = compile_query(pq.query, state.schema, domain)
                 except CompilationError:

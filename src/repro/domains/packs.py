@@ -102,9 +102,7 @@ class DomainPack:
     safety_factory: Optional[Callable[[Domain], object]] = None
     syntax_factory: Optional[Callable[[object], object]] = None
     finite_implies_domain_independent: bool = False
-    supports_compiled_algebra: bool = False
-    supports_vectorized: bool = False
-    supports_parallel: bool = False
+    substrates: Tuple[str, ...] = ()
     ordered_carrier: bool = False
     finite_carrier: bool = False
     #: pytest marker slug: tests for this pack carry ``pack_<marker>``
@@ -132,9 +130,7 @@ class DomainPack:
             safety_factory=self.safety_factory,
             syntax_factory=self.syntax_factory,
             finite_implies_domain_independent=self.finite_implies_domain_independent,
-            supports_compiled_algebra=self.supports_compiled_algebra,
-            supports_vectorized=self.supports_vectorized,
-            supports_parallel=self.supports_parallel,
+            substrates=self.substrates,
             ordered_carrier=self.ordered_carrier,
             finite_carrier=self.finite_carrier,
         )
@@ -788,9 +784,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             safety_factory=_equality_safety,
             syntax_factory=_active_domain_syntax,
             finite_implies_domain_independent=True,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            supports_parallel=True,
+            substrates=("parallel", "vectorized", "compiled"),
             marker="equality",
             corpora_factory=_family_corpus,
         ),
@@ -801,9 +795,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the ordered natural numbers (N, <) (Section 2.1)",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            supports_parallel=True,
+            substrates=("parallel", "vectorized", "compiled"),
             ordered_carrier=True,
             marker="nat_order",
             corpora_factory=_ordered_corpus,
@@ -816,9 +808,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="Presburger arithmetic over N (a decidable extension of (N, <))",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            supports_parallel=True,
+            substrates=("parallel", "vectorized", "compiled"),
             ordered_carrier=True,
             marker="presburger",
             corpora_factory=_presburger_naturals_corpus,
@@ -831,9 +821,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="Presburger arithmetic over Z",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax_integers,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            supports_parallel=True,
+            substrates=("parallel", "vectorized", "compiled"),
             ordered_carrier=True,
             marker="integers",
             corpora_factory=_integers_corpus,
@@ -846,7 +834,6 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the natural numbers with successor (N, ') (Section 2.2)",
             safety_factory=_successor_safety,
             syntax_factory=_extended_active_domain_syntax,
-            supports_vectorized=True,
             marker="successor",
             corpora_factory=_successor_corpus,
             sentences_factory=_successor_sentences,
@@ -877,7 +864,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "finite, so safety needs the projection-finiteness decider",
             safety_factory=_dense_order_safety,
             syntax_factory=_active_domain_syntax,
-            supports_compiled_algebra=True,
+            substrates=("compiled",),
             marker="qlinear",
             corpora_factory=_dense_order_corpus,
             sentences_factory=_dense_order_sentences,
@@ -890,9 +877,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "Bellman-Ford fast path under the Cooper decision procedure",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax_integers,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
-            supports_parallel=True,
+            substrates=("parallel", "vectorized", "compiled"),
             ordered_carrier=True,
             marker="zdiff",
             corpora_factory=_difference_corpus,
@@ -905,8 +890,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             summary="the finite cyclic successor structure Z/12: every query "
             "is finite because the carrier is",
             safety_factory=_finite_carrier_safety,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
+            substrates=("vectorized", "compiled"),
             finite_carrier=True,
             marker="cyclic",
             corpora_factory=_cyclic_corpus,
@@ -920,8 +904,7 @@ def _builtin_packs() -> Tuple[DomainPack, ...]:
             "(N, <), giving its safety profile on a string carrier",
             safety_factory=_ordered_safety,
             syntax_factory=_finitization_syntax,
-            supports_compiled_algebra=True,
-            supports_vectorized=True,
+            substrates=("vectorized", "compiled"),
             marker="shortlex",
             corpora_factory=_shortlex_corpus,
             sentences_factory=_shortlex_sentences,

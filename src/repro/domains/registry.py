@@ -22,6 +22,7 @@ from .base import Domain
 
 __all__ = [
     "DomainEntry",
+    "SUBSTRATE_LADDER",
     "UnknownDomainError",
     "register_domain",
     "unregister_domain",
@@ -32,6 +33,11 @@ __all__ = [
     "available_domains",
     "domain_aliases",
 ]
+
+
+#: every registrable substrate, top of the ladder first: the parallel rung
+#: runs the vectorized kernels, which run compiled algebra plans
+SUBSTRATE_LADDER = ("parallel", "vectorized", "compiled")
 
 
 class UnknownDomainError(LookupError):
@@ -58,27 +64,20 @@ class DomainEntry:
     #: guard-certified finite queries by active-domain evaluation, which is
     #: exact and far cheaper than enumeration.
     finite_implies_domain_independent: bool = False
-    #: True when the domain's predicate atoms can be evaluated pointwise, so
-    #: queries compile to relational algebra
-    #: (:mod:`repro.relational.compile`) and active-domain evaluation runs
-    #: set-at-a-time.  Function-heavy domains (e.g. ``(N, ')``, whose queries
-    #: lean on ``succ`` terms) leave this off and keep the tree walker.
-    supports_compiled_algebra: bool = False
-    #: True when the domain's carriers encode to ``int64`` columns (machine
-    #: integers directly, strings via dictionary encoding), so compiled
-    #: algebra plans can be lowered to the vectorized NumPy executor
-    #: (:mod:`repro.relational.columnar`).  The planner then prefers strategy
-    #: ``"vectorized"`` over ``"compiled"``; execution still falls back to
-    #: the set executor transparently when a specific plan or carrier resists
-    #: vectorization, with the reason recorded in ``explain()``.
-    supports_vectorized: bool = False
-    #: True when vectorized plans may additionally run morsel-parallel on the
-    #: process-wide worker pool (:mod:`repro.relational.parallel`).  The
-    #: planner then puts strategy ``"parallel"`` at the top of the fallback
-    #: ladder (parallel → vectorized → set executor → tree walker); a size
-    #: heuristic keeps small states single-threaded either way.  Requires
-    #: ``supports_vectorized``.
-    supports_parallel: bool = False
+    #: the execution substrates the domain supports, top of the ladder
+    #: first — a suffix of :data:`SUBSTRATE_LADDER`.  ``"compiled"``: predicate
+    #: atoms evaluate pointwise, so queries compile to relational algebra
+    #: (:mod:`repro.relational.compile`) and run set-at-a-time;
+    #: ``"vectorized"``: carriers also encode to ``int64`` columns, so the
+    #: plans lower to the NumPy executor (:mod:`repro.relational.columnar`);
+    #: ``"parallel"``: those kernels may also run morsel-parallel on the
+    #: process-wide worker pool (:mod:`repro.relational.parallel`).  For
+    #: guard-certified queries the planner climbs exactly this ladder (see
+    #: :class:`~repro.engine.plans.AlgebraPlan`); execution still falls back
+    #: transparently when one plan or carrier resists a rung.  Function-heavy
+    #: domains (e.g. ``(N, ')``, whose queries lean on ``succ`` terms) leave
+    #: it empty and keep the tree walker.
+    substrates: Tuple[str, ...] = ()
     #: True when the carrier is totally ordered by the standard integer
     #: comparison *and* the domain's ``<``/``<=``/``>``/``>=`` predicates
     #: have exactly that semantics.  The plan optimizer
@@ -94,6 +93,15 @@ class DomainEntry:
     #: the guarded active-domain ladder even though finiteness of the *answer*
     #: does not imply domain independence.
     finite_carrier: bool = False
+
+    def __post_init__(self) -> None:
+        suffixes = [SUBSTRATE_LADDER[i:] for i in range(len(SUBSTRATE_LADDER) + 1)]
+        if self.substrates not in suffixes:
+            raise ValueError(
+                f"domain {self.name!r}: substrates must be a suffix of "
+                f"{SUBSTRATE_LADDER!r} (each rung runs on the one below it); "
+                f"got {self.substrates!r}"
+            )
 
 
 _REGISTRY: Dict[str, DomainEntry] = {}

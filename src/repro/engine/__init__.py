@@ -1,38 +1,33 @@
 """Query answering: plans, budgets, the Section 1.1 algorithm, guards.
 
-The modern front door is :func:`repro.connect` (see :mod:`repro.api`); the
-``QueryEngine`` / ``GuardedEngine`` classes are retained as compatibility
-shims over the same :class:`~repro.engine.plans.Plan` machinery.
+The front door is :func:`repro.connect` (see :mod:`repro.api`); this package
+holds the :class:`~repro.engine.plans.Plan` machinery behind it.
 """
 
 from .answer_cache import AnswerCache, AnswerCacheInfo
 from .answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from .budget import Budget, BudgetClock
 from .enumeration import answer_by_enumeration, enumerate_tuples
-from .evaluator import QueryEngine
 from .plan_cache import PlanCache, PlanCacheInfo
 from .plans import (
     STRATEGIES,
+    STRATEGY_RUNGS,
     ActiveDomainPlan,
-    CompiledAlgebraPlan,
+    AlgebraPlan,
     EnumerationPlan,
     GuardedOutcome,
     GuardedPlan,
-    IncrementalAlgebraPlan,
     Plan,
-    VectorizedAlgebraPlan,
     plan_for_strategy,
 )
-from .safety_guard import GuardedEngine, GuardResult
 
 __all__ = [
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",
     "Budget", "BudgetClock",
-    "Plan", "ActiveDomainPlan", "CompiledAlgebraPlan", "VectorizedAlgebraPlan",
-    "IncrementalAlgebraPlan", "EnumerationPlan",
+    "Plan", "ActiveDomainPlan", "AlgebraPlan", "EnumerationPlan",
     "AnswerCache", "AnswerCacheInfo",
     "GuardedPlan", "GuardedOutcome", "plan_for_strategy", "STRATEGIES",
+    "STRATEGY_RUNGS",
     "PlanCache", "PlanCacheInfo",
     "answer_by_enumeration", "enumerate_tuples",
-    "QueryEngine", "GuardedEngine", "GuardResult",
 ]

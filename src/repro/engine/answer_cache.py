@@ -16,7 +16,8 @@ answers for.  A repeat query then costs:
   execution, replacing the entry.
 
 Which of the three happened — and why — is reported as a decision string that
-:class:`~repro.engine.plans.IncrementalAlgebraPlan` surfaces in ``explain()``.
+the incremental rung of :class:`~repro.engine.plans.AlgebraPlan` surfaces in
+``explain()``.
 
 Keying on the 64-bit mixed fingerprint (not the full state) keeps hits O(1);
 the standard birthday argument makes a collision across a cache of dozens of
@@ -109,7 +110,7 @@ class AnswerCache:
 
         The decision string says whether the answer was served from cache,
         delta-maintained (and at what cost), or recomputed in full (and
-        why) — :class:`~repro.engine.plans.IncrementalAlgebraPlan` surfaces
+        why) — :class:`~repro.engine.plans.AlgebraPlan` surfaces
         it verbatim in ``explain()``.
 
         A ``deadline`` is threaded into both maintenance and materialising

@@ -131,7 +131,7 @@ def _compiled_superset(
     answer row without touching the blind dovetail.  Returns ``None`` when
     the domain lacks the compiled backend or the query does not compile.
     """
-    if not registry_capability(domain, "supports_compiled_algebra"):
+    if "compiled" not in registry_capability(domain, "substrates", ()):
         return None
     from ..relational.compile import CompilationError, compile_query
 

@@ -1,29 +1,34 @@
 """First-class query plans.
 
-A :class:`Plan` is an executable strategy object replacing the old
-``strategy: str`` flag of ``QueryEngine.answer``.  The concrete plans mirror
-the paper's evaluation disciplines across three execution substrates:
+A :class:`Plan` is an executable strategy object.  The concrete plans mirror
+the paper's evaluation disciplines:
 
 * :class:`ActiveDomainPlan` — active-domain semantics by tree walking:
   quantifiers and answer variables range over the active domain, so every
   answer is finite by construction (sound and complete for
   domain-independent queries);
-* :class:`CompiledAlgebraPlan` — the same active-domain answer via the
-  calculus→algebra compiler and the set-at-a-time executor (hash joins,
-  antijoins, selection pushdown);
-* :class:`VectorizedAlgebraPlan` — the same algebra plans lowered to
-  vectorized NumPy column kernels, with a transparent fallback ladder
-  (vectorized → set executor → tree walker) recorded in ``explain()``;
-* :class:`ParallelAlgebraPlan` — the same vectorized kernels partitioned
-  into morsels and run on a shared worker pool, with a size heuristic so
-  small states stay single-threaded (ladder: parallel → vectorized → set
-  executor → tree walker);
+* :class:`AlgebraPlan` — the same active-domain answer via the
+  calculus→algebra compiler, run on the first rung of a fallback ladder
+  that applies: morsel-parallel column kernels, single-threaded column
+  kernels, an incremental answer cache, or the set-at-a-time executor,
+  with the tree walker as the floor;
 * :class:`EnumerationPlan` — the Section 1.1 enumeration algorithm, complete
   for arbitrary finite queries over a domain with a decidable theory, bounded
   by a :class:`~repro.engine.budget.Budget`;
 * :class:`GuardedPlan` — wraps an inner plan with an effective-syntax
   restriction and/or a relative-safety check, rejecting provably infinite
   answers before evaluation starts.
+
+The ladder is data: each explicit algebra strategy names a tuple of rungs
+from :data:`RUNGS`, top first, and a domain's registered ``substrates`` is
+the ladder ``auto`` climbs for guard-certified queries.
+
+>>> for strategy, rungs in STRATEGY_RUNGS.items():
+...     print(f"{strategy:<12} {' → '.join(rungs)}")
+compiled     compiled
+vectorized   vectorized → compiled
+parallel     parallel → vectorized → compiled
+incremental  incremental → compiled
 
 Every plan carries an :meth:`~Plan.explain` describing *why* the strategy was
 chosen (theory decidability, availability of a safety decider, explicit user
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..domains.base import Domain, TheoryUndecidableError
 from ..logic.analysis import free_variables
@@ -63,10 +69,10 @@ from .plan_cache import PlanCache
 __all__ = [
     "Plan",
     "ActiveDomainPlan",
-    "CompiledAlgebraPlan",
-    "VectorizedAlgebraPlan",
-    "ParallelAlgebraPlan",
-    "IncrementalAlgebraPlan",
+    "AlgebraPlan",
+    "Rung",
+    "RUNGS",
+    "STRATEGY_RUNGS",
     "EnumerationPlan",
     "GuardedPlan",
     "GuardedOutcome",
@@ -195,76 +201,275 @@ class ActiveDomainPlan(Plan):
         return text
 
 
-@dataclass(eq=False)
-class CompiledAlgebraPlan(Plan):
-    """Compile to relational algebra and execute set-at-a-time.
+@dataclass
+class _Job:
+    """One algebra execution's inputs, shared by every rung it visits."""
 
-    Computes exactly the same active-domain answer as
-    :class:`ActiveDomainPlan`, but via the
-    :mod:`repro.relational.compile` → :mod:`repro.relational.exec` pipeline
-    (hash joins, antijoins, selection pushdown) instead of tuple-at-a-time
-    tree walking.  When compilation bails (function symbols, exotic terms)
-    the plan falls back to the tree-walking evaluator transparently and
-    :meth:`explain` records why.
+    plan: "AlgebraPlan"
+    query: Formula
+    compiled: CompiledQuery
+    state: DatabaseState
+    deadline: Optional[Deadline]
+
+    @cached_property
+    def universe(self) -> List[Element]:
+        return self.compiled.universe(self.state, self.plan.extra_elements)
+
+
+# The rung runners name their executors through this module's globals at
+# call time, so wrapping ``run_plan_vectorized``/``run_plan_parallel`` by
+# patching module attributes (as profilers do) reaches every rung.
+
+
+def _pool_skip(job: _Job) -> Optional[str]:
+    size = job.state.total_rows() + len(job.universe)
+    if size < job.plan.parallel_threshold:
+        return (
+            f"state too small for the pool ({size} < "
+            f"{job.plan.parallel_threshold} rows)"
+        )
+    return None
+
+
+def _run_parallel(job: _Job) -> Relation:
+    stats = MorselStats()
+    rows = run_plan_parallel(
+        job.compiled.plan,
+        job.state,
+        job.universe,
+        job.plan.domain,
+        morsel_rows=job.plan.morsel_rows,
+        stats=stats,
+        deadline=job.deadline,
+    )
+    job.plan.last_morsels = stats.describe()
+    return Relation(len(job.compiled.output), rows)
+
+
+def _run_vectorized(job: _Job) -> Relation:
+    rows = run_plan_vectorized(
+        job.compiled.plan, job.state, job.universe, job.plan.domain,
+        deadline=job.deadline,
+    )
+    return Relation(len(job.compiled.output), rows)
+
+
+def _no_answer_cache(job: _Job) -> Optional[str]:
+    return None if job.plan.answer_cache is not None else "no answer cache configured"
+
+
+def _run_incremental(job: _Job) -> Relation:
+    plan = job.plan
+    assert plan.answer_cache is not None  # else _no_answer_cache skipped the rung
+    key = (job.query, job.state.schema, plan.domain.name, plan.extra_elements)
+    rows, plan.last_decision = plan.answer_cache.answer(
+        key, job.compiled, job.state, plan.extra_elements, plan.domain, job.deadline
+    )
+    return Relation(len(job.compiled.output), rows)
+
+
+def _run_compiled(job: _Job) -> Relation:
+    return job.compiled.execute(
+        job.state, job.plan.domain, job.plan.extra_elements, deadline=job.deadline
+    )
+
+
+@dataclass(frozen=True)
+class Rung:
+    """One execution substrate of the fallback ladder."""
+
+    #: the ``Answer.method`` it answers with (and ``Plan.strategy`` on top)
+    method: str
+    #: runs the compiled plan; may raise to hand over to the next rung
+    run: Callable[[_Job], Relation]
+    #: why the rung cannot run this job, or ``None`` when it can
+    unmet: Optional[Callable[[_Job], Optional[str]]] = None
+    #: lowers to the NumPy column kernels, so a vectorization obstacle
+    #: rules it out together with every other columnar rung
+    columnar: bool = False
+    #: guarded by the substrate failure breaker (the others are never demoted)
+    demotable: bool = False
+    #: how a fallback reason ends when this rung answers after a skip
+    instead: str = ""
+
+
+#: every substrate an :class:`AlgebraPlan` can run, by rung name
+RUNGS: Dict[str, Rung] = {
+    "parallel": Rung(
+        "parallel", _run_parallel, _pool_skip, columnar=True, demotable=True,
+        instead="ran the morsel-parallel kernels instead",
+    ),
+    "vectorized": Rung(
+        "vectorized", _run_vectorized, columnar=True, demotable=True,
+        instead="ran the single-threaded vectorized kernels instead",
+    ),
+    "incremental": Rung(
+        "incremental", _run_incremental, _no_answer_cache,
+        instead="answered from the answer cache instead",
+    ),
+    "compiled": Rung(
+        "compiled-algebra", _run_compiled,
+        instead="executed by the set-at-a-time executor instead",
+    ),
+}
+
+#: the ladder each explicit algebra strategy runs, top rung first
+STRATEGY_RUNGS: Dict[str, Tuple[str, ...]] = {
+    "compiled": ("compiled",),
+    "vectorized": ("vectorized", "compiled"),
+    "parallel": ("parallel", "vectorized", "compiled"),
+    "incremental": ("incremental", "compiled"),
+}
+
+_TREE_WALKER_INSTEAD = "answered by the tree-walking active-domain evaluator instead"
+
+
+@dataclass(eq=False)
+class AlgebraPlan(Plan):
+    """Compile to relational algebra and answer on the first rung that can.
+
+    Every rung computes exactly the active-domain answer of
+    :class:`ActiveDomainPlan` (Section 2: a guard-certified finite query
+    over pure equality or a finite carrier has no other), so the rungs
+    differ only in speed and in when they step aside.  ``rungs`` is the
+    ladder, top first, drawn from :data:`RUNGS`:
+
+    * ``"parallel"`` — the vectorized kernels, morsel-parallel on the shared
+      worker pool (:mod:`repro.relational.parallel`); skipped below
+      ``parallel_threshold`` total input rows, where dispatch costs more
+      than it saves;
+    * ``"vectorized"`` — NumPy ``int64`` column kernels
+      (:mod:`repro.relational.columnar`); ruled out with ``"parallel"`` by a
+      static vectorization obstacle or a carrier that does not encode;
+    * ``"incremental"`` — materialised answers in ``answer_cache``, patched
+      by the ΔQ rules of :mod:`repro.relational.delta` when the state
+      mutates;
+    * ``"compiled"`` — the set-at-a-time executor (hash joins, antijoins,
+      selection pushdown), never demoted.
+
+    The two columnar rungs are demoted by the failure breaker while it is
+    open.  When compilation itself bails (function symbols, exotic terms),
+    or every rung steps aside, the tree walker answers.  ``fallback_reason``
+    and :meth:`explain` record why the top rung did not answer.
     """
 
     domain: Domain
     budget: Budget = field(default_factory=Budget)
     extra_elements: Tuple[Element, ...] = ()
+    #: the fallback ladder, top rung first (names from :data:`RUNGS`)
+    rungs: Tuple[str, ...] = STRATEGY_RUNGS["compiled"]
+    #: compiled plans shared across executions, keyed (query, schema, domain)
     cache: Optional[PlanCache] = None
+    #: materialised answers for the ``"incremental"`` rung
+    answer_cache: Optional[AnswerCache] = None
     reason: str = (
-        "the query compiles to relational algebra, so it is answered "
-        "set-at-a-time with hash joins instead of tuple-at-a-time tree walking"
+        "the query compiles to relational algebra, so the first rung of the "
+        "ladder that applies answers it exactly"
     )
     #: cooperative cancellation flag checked at the substrate checkpoints
     cancel_token: Optional[CancelToken] = None
-    #: failure breaker demoting faulty accelerated substrates (the shared
+    #: failure breaker demoting faulty columnar rungs (the shared
     #: process-wide default when ``None``)
     breaker: Optional[SubstrateBreaker] = None
-    #: why the last execution fell back to the tree walker, if it did
+    #: rows per morsel handed to the worker pool
+    morsel_rows: int = DEFAULT_MORSEL_ROWS
+    #: total input rows (stored + active domain) below which the pool is skipped
+    parallel_threshold: int = 2048
+    #: why the last execution did not answer on the top rung, if it did not
     fallback_reason: Optional[str] = None
     #: operator census of the last compiled plan, for explain()
     last_summary: Optional[str] = None
+    #: morsel/merge accounting of the last parallel execution
+    last_morsels: Optional[str] = None
+    #: what the answer cache did on the last execution, and why
+    last_decision: Optional[str] = None
 
-    strategy = "compiled-algebra"
-    #: component of the plan-cache key separating execution substrates
-    _substrate: ClassVar[str] = "compiled"
+    def __post_init__(self) -> None:
+        unknown = [name for name in self.rungs if name not in RUNGS]
+        if not self.rungs or unknown:
+            raise ValueError(
+                f"rungs must be a non-empty tuple drawn from {tuple(RUNGS)}; "
+                f"got {self.rungs!r}"
+            )
+
+    @property
+    def strategy(self) -> str:  # type: ignore[override]
+        return RUNGS[self.rungs[0]].method
 
     def execute(self, query: Formula, state: DatabaseState) -> Answer:
         self.last_interruption = None
+        self.last_morsels = None
+        self.last_decision = None
         deadline = self._start_deadline()
         try:
-            return self._execute_with(query, state, deadline)
+            return self._climb(query, state, deadline)
         except EvaluationInterrupted as error:
             self._record_interruption(error)
             raise
 
-    def _execute_with(
+    def _climb(
         self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
     ) -> Answer:
+        """Walk the ladder: the one place rungs are skipped, tried and demoted."""
         try:
-            compiled = self._compiled(query, state)
+            compiled, obstacle = self._compiled(query, state)
         except CompilationError as error:
-            self.fallback_reason = str(error)
             self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
-        self.fallback_reason = None
+            return self._tree_walk(query, state, deadline, str(error))
         self.last_summary = compiled.summary()
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
+        job = _Job(self, query, compiled, state, deadline)
+        breaker = self._breaker()
+        skipped: Optional[str] = None
+        for name in self.rungs:
+            rung = RUNGS[name]
+            if rung.columnar and obstacle is not None:
+                skipped = obstacle
+                continue
+            unmet = rung.unmet(job) if rung.unmet is not None else None
+            if unmet is not None:
+                skipped = unmet
+                continue
+            if rung.demotable and not breaker.allow(name):
+                skipped = (
+                    f"the {name} substrate is demoted by its failure breaker "
+                    f"({breaker.describe(name)})"
+                )
+                continue
+            try:
+                relation = rung.run(job)
+            except VectorizationError as error:
+                # The carrier resists the kernels: every columnar rung below
+                # would fail the same way.
+                obstacle = skipped = str(error)
+                continue
+            except EvaluationInterrupted:
+                raise
+            except Exception as error:
+                if not rung.demotable:
+                    raise
+                breaker.record_fault(name, error)
+                skipped = (
+                    f"the {name} substrate faulted ({type(error).__name__}: "
+                    f"{error}); breaker {breaker.state(name)}"
+                )
+                continue
+            if rung.demotable:
+                breaker.record_success(name)
+            self.fallback_reason = (
+                None if skipped is None else f"{skipped}; {rung.instead}"
+            )
+            return FiniteAnswer(relation, method=rung.method)
+        return self._tree_walk(query, state, deadline, skipped)
 
-    def _breaker(self) -> SubstrateBreaker:
-        return self.breaker if self.breaker is not None else default_breaker()
-
-    def _tree_walk_answer(
+    def _tree_walk(
         self,
         query: Formula,
         state: DatabaseState,
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
+        why: Optional[str],
     ) -> Answer:
-        """The tree-walking fallback shared by both algebra substrates."""
+        """The floor under every ladder: tuple-at-a-time tree walking."""
+        self.fallback_reason = f"{why}; {_TREE_WALKER_INSTEAD}"
         relation = evaluate_query_active_domain(
             query,
             state,
@@ -274,22 +479,29 @@ class CompiledAlgebraPlan(Plan):
         )
         return FiniteAnswer(relation, method="active-domain")
 
-    def _compiled(self, query: Formula, state: DatabaseState) -> CompiledQuery:
-        """Compile ``query`` for the state's schema, via the cache if present.
+    def _breaker(self) -> SubstrateBreaker:
+        return self.breaker if self.breaker is not None else default_breaker()
 
-        Compilation *failures* are cached too (as the raised error), so a hot
+    def _compiled(
+        self, query: Formula, state: DatabaseState
+    ) -> Tuple[CompiledQuery, Optional[str]]:
+        """The compiled plan plus its *static* vectorization obstacle.
+
+        Both are state-independent, so the pair is the plan-cache entry,
+        keyed ``(query, schema, domain)`` and shared by every rung.
+        Compilation failures are cached too (as the raised error), so a hot
         loop over a non-compilable query pays the formula walk only once.
         """
-        if self.cache is None:
-            return compile_query(query, state.schema, self.domain)
-        key = (query, state.schema, self.domain.name, self._substrate)
-        cached = self.cache.get(key)
+        key = (query, state.schema, self.domain.name)
+        cached = self.cache.get(key) if self.cache is not None else None
         if cached is None:
             try:
-                cached = compile_query(query, state.schema, self.domain)
+                compiled = compile_query(query, state.schema, self.domain)
+                cached = (compiled, vectorization_obstacle(compiled.plan))
             except CompilationError as error:
                 cached = error
-            self.cache.put(key, cached)
+            if self.cache is not None:
+                self.cache.put(key, cached)
         if isinstance(cached, CompilationError):
             raise cached
         return cached
@@ -298,345 +510,22 @@ class CompiledAlgebraPlan(Plan):
         text = f"strategy {self.strategy!r}: {self.reason}"
         if self.last_summary:
             text += f" (last plan: {self.last_summary})"
+        text += "; ladder " + " → ".join(self.rungs)
         if self.fallback_reason:
-            text += self._fallback_note()
+            text += "; fell back: " + self.fallback_reason
         if self.last_interruption:
             text += f"; interrupted: {self.last_interruption}"
-        for substrate in ("parallel", "vectorized"):
-            if self._breaker().state(substrate) != "closed":
-                text += (
-                    f"; {substrate} breaker "
-                    + self._breaker().describe(substrate)
-                )
+        breaker = self._breaker()
+        for name in self.rungs:
+            if RUNGS[name].demotable and breaker.state(name) != "closed":
+                text += f"; {name} breaker {breaker.describe(name)}"
         if self.cache is not None:
             text += f"; plan cache {self.cache.info()}"
-        return text
-
-    def _fallback_note(self) -> str:
-        return (
-            "; fell back to the tree-walking active-domain evaluator: "
-            + (self.fallback_reason or "")
-        )
-
-
-@dataclass(eq=False)
-class VectorizedAlgebraPlan(CompiledAlgebraPlan):
-    """Compile to relational algebra and execute on NumPy column arrays.
-
-    The third execution substrate: the same algebra plan a
-    :class:`CompiledAlgebraPlan` interprets set-at-a-time is lowered to the
-    vectorized columnar executor (:mod:`repro.relational.columnar`) —
-    ``int64`` code columns, sort-based joins via ``np.searchsorted``,
-    antijoin membership masks, adom padding as broadcasts.  The answer is
-    always exactly the active-domain answer; when a plan or carrier resists
-    vectorization (a domain predicate without a kernel, a non-integer carrier
-    under a domain predicate, numpy missing) execution falls back to the set
-    executor, and when compilation itself bails it falls all the way back to
-    the tree walker — either way :meth:`explain` records the reason.
-    """
-
-    reason: str = (
-        "the query compiles to relational algebra and lowers to vectorized "
-        "NumPy kernels, so scans, joins, and antijoins run on int64 column "
-        "arrays instead of Python sets of tuples"
-    )
-
-    strategy = "vectorized"
-    _substrate: ClassVar[str] = "vectorized"
-
-    def _execute_with(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
-    ) -> Answer:
-        try:
-            compiled, obstacle = self._vectorized(query, state)
-        except CompilationError as error:
-            self.fallback_reason = (
-                str(error) + "; answered by the tree-walking active-domain "
-                "evaluator instead"
-            )
-            self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
-        self.last_summary = compiled.summary()
-        breaker = self._breaker()
-        if obstacle is None and not breaker.allow("vectorized"):
-            obstacle = (
-                "the vectorized substrate is demoted by its failure breaker "
-                f"({breaker.describe('vectorized')})"
-            )
-        elif obstacle is None:
-            try:
-                rows = run_plan_vectorized(
-                    compiled.plan,
-                    state,
-                    compiled.universe(state, self.extra_elements),
-                    self.domain,
-                    deadline=deadline,
-                )
-            except VectorizationError as error:
-                obstacle = str(error)
-            except EvaluationInterrupted:
-                raise
-            except Exception as error:
-                breaker.record_fault("vectorized", error)
-                obstacle = (
-                    "the vectorized substrate faulted "
-                    f"({type(error).__name__}: {error}); breaker "
-                    + breaker.state("vectorized")
-                )
-            else:
-                breaker.record_success("vectorized")
-                self.fallback_reason = None
-                relation = Relation(len(compiled.output), rows)
-                return FiniteAnswer(relation, method="vectorized")
-        self.fallback_reason = (
-            obstacle + "; executed by the set-at-a-time executor instead"
-        )
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
-
-    def _vectorized(
-        self, query: Formula, state: DatabaseState
-    ) -> Tuple[CompiledQuery, Optional[str]]:
-        """The compiled plan plus its *static* vectorization obstacle.
-
-        Both are state-independent, so the pair is what the plan cache
-        stores under this substrate's key — which is why the ``"vectorized"``
-        and ``"compiled"`` cache entries genuinely differ.  Compilation
-        failures are cached as the raised error, like the parent's.
-        """
-        if self.cache is None:
-            compiled = compile_query(query, state.schema, self.domain)
-            return compiled, vectorization_obstacle(compiled.plan)
-        key = (query, state.schema, self.domain.name, self._substrate)
-        cached = self.cache.get(key)
-        if cached is None:
-            try:
-                compiled = compile_query(query, state.schema, self.domain)
-                cached = (compiled, vectorization_obstacle(compiled.plan))
-            except CompilationError as error:
-                cached = error
-            self.cache.put(key, cached)
-        if isinstance(cached, CompilationError):
-            raise cached
-        return cached
-
-    def _fallback_note(self) -> str:
-        return "; fell back: " + (self.fallback_reason or "")
-
-    def explain(self) -> str:
-        text = super().explain()
-        if HAVE_NUMPY:
+        if HAVE_NUMPY and any(RUNGS[name].columnar for name in self.rungs):
             text += f"; encode cache {encode_cache_info()}"
-        return text
-
-
-@dataclass(eq=False)
-class ParallelAlgebraPlan(VectorizedAlgebraPlan):
-    """Run the vectorized kernels morsel-parallel on a shared worker pool.
-
-    The fourth execution substrate, and the top of the transparent fallback
-    ladder (parallel → vectorized → set executor → tree walker).  The same
-    algebra plan a :class:`VectorizedAlgebraPlan` lowers to NumPy kernels is
-    partitioned into fixed-size row chunks ("morsels") and dispatched to the
-    process-wide thread pool of :mod:`repro.relational.parallel` — NumPy
-    releases the GIL inside its kernels, so the chunks genuinely run on
-    multiple cores.  Tiny states skip the pool: below
-    ``parallel_threshold`` total input rows the plan answers through the
-    single-threaded vectorized path, because thread dispatch would cost more
-    than it saves.  :meth:`explain` records worker counts, morsel counts,
-    and per-stage merge statistics of the last parallel execution.
-    """
-
-    reason: str = (
-        "the query compiles to relational algebra, lowers to vectorized "
-        "NumPy kernels, and runs them morsel-parallel on the shared worker "
-        "pool; small states stay single-threaded"
-    )
-    #: rows per morsel handed to the worker pool
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
-    #: total input rows (stored + active domain) below which the pool is skipped
-    parallel_threshold: int = 2048
-    #: morsel/merge accounting of the last parallel execution, for explain()
-    last_morsels: Optional[str] = None
-
-    strategy = "parallel"
-    _substrate: ClassVar[str] = "parallel"
-
-    def _execute_with(  # noqa: C901 - the ladder is one deliberate sequence
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
-    ) -> Answer:
-        self.last_morsels = None
-        try:
-            compiled, obstacle = self._vectorized(query, state)
-        except CompilationError as error:
-            self.fallback_reason = (
-                str(error) + "; answered by the tree-walking active-domain "
-                "evaluator instead"
-            )
-            self.last_summary = None
-            return self._tree_walk_answer(query, state, deadline)
-        self.last_summary = compiled.summary()
-        breaker = self._breaker()
-        if obstacle is None:
-            universe = compiled.universe(state, self.extra_elements)
-            size = state.total_rows() + len(universe)
-            # Rung 1: the worker pool — skipped for tiny states and while
-            # the parallel breaker is open.
-            pool_skip: Optional[str] = None
-            if size < self.parallel_threshold:
-                pool_skip = (
-                    f"state too small for the pool ({size} < "
-                    f"{self.parallel_threshold} rows); ran the "
-                    "single-threaded vectorized kernels instead"
-                )
-            elif not breaker.allow("parallel"):
-                pool_skip = (
-                    "the parallel substrate is demoted by its failure "
-                    f"breaker ({breaker.describe('parallel')}); ran the "
-                    "single-threaded vectorized kernels instead"
-                )
-            if pool_skip is None:
-                stats = MorselStats()
-                try:
-                    rows = run_plan_parallel(
-                        compiled.plan,
-                        state,
-                        universe,
-                        self.domain,
-                        morsel_rows=self.morsel_rows,
-                        stats=stats,
-                        deadline=deadline,
-                    )
-                except VectorizationError as error:
-                    obstacle = str(error)
-                except EvaluationInterrupted:
-                    raise
-                except Exception as error:
-                    breaker.record_fault("parallel", error)
-                    pool_skip = (
-                        "the parallel substrate faulted "
-                        f"({type(error).__name__}: {error}); demoted to the "
-                        "single-threaded vectorized kernels"
-                    )
-                else:
-                    breaker.record_success("parallel")
-                    self.fallback_reason = None
-                    self.last_morsels = stats.describe()
-                    relation = Relation(len(compiled.output), rows)
-                    return FiniteAnswer(relation, method="parallel")
-            # Rung 2: the single-threaded vectorized kernels.
-            if obstacle is None:
-                assert pool_skip is not None
-                if not breaker.allow("vectorized"):
-                    obstacle = (
-                        "the vectorized substrate is demoted by its failure "
-                        f"breaker ({breaker.describe('vectorized')})"
-                    )
-                else:
-                    try:
-                        rows = run_plan_vectorized(
-                            compiled.plan, state, universe, self.domain,
-                            deadline=deadline,
-                        )
-                    except VectorizationError as error:
-                        obstacle = str(error)
-                    except EvaluationInterrupted:
-                        raise
-                    except Exception as error:
-                        breaker.record_fault("vectorized", error)
-                        obstacle = (
-                            "the vectorized substrate faulted "
-                            f"({type(error).__name__}: {error}); breaker "
-                            + breaker.state("vectorized")
-                        )
-                    else:
-                        breaker.record_success("vectorized")
-                        self.fallback_reason = pool_skip
-                        relation = Relation(len(compiled.output), rows)
-                        return FiniteAnswer(relation, method="vectorized")
-        # Rung 3: the reference set-at-a-time executor (never demoted).
-        self.fallback_reason = (
-            obstacle + "; executed by the set-at-a-time executor instead"
-        )
-        relation = compiled.execute(
-            state, self.domain, self.extra_elements, deadline=deadline
-        )
-        return FiniteAnswer(relation, method="compiled-algebra")
-
-    def explain(self) -> str:
-        text = super().explain()
         if self.last_morsels:
             text += "; morsels: " + self.last_morsels
-        return text
-
-
-@dataclass(eq=False)
-class IncrementalAlgebraPlan(CompiledAlgebraPlan):
-    """Answer from a per-session answer cache, patched by state deltas.
-
-    The write-path substrate: the same compiled algebra plan a
-    :class:`CompiledAlgebraPlan` executes is *materialised* — every
-    operator's output retained — and stored in an
-    :class:`~repro.engine.answer_cache.AnswerCache` keyed by (query, schema,
-    domain, extras) and stamped with the state fingerprint.  A repeat query
-    against the same state is O(answer); against a state mutated through
-    :meth:`~repro.relational.state.DatabaseState.apply` the materialisation
-    is patched by the ΔQ rules of :mod:`repro.relational.delta` at
-    O(Δ · answer) cost; everything else falls back to one full materialising
-    execution.  :meth:`explain` records which of the three happened (and
-    why) after every execution.
-
-    Plan compilation is shared with the ``"compiled"`` substrate's cache
-    entries (the algebra plan is identical); only the answer materialisation
-    is new.
-    """
-
-    answer_cache: Optional[AnswerCache] = None
-    reason: str = (
-        "the session opted into incremental evaluation, so answers are "
-        "materialised once and patched by ΔQ rules when the state mutates"
-    )
-    #: what the answer cache did on the last execution, and why
-    last_decision: Optional[str] = None
-
-    strategy = "incremental"
-    #: shares the set-at-a-time substrate's compiled-plan cache entries
-    _substrate: ClassVar[str] = "compiled"
-
-    def _execute_with(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
-    ) -> Answer:
-        try:
-            compiled = self._compiled(query, state)
-        except CompilationError as error:
-            self.fallback_reason = str(error)
-            self.last_summary = None
-            self.last_decision = (
-                "recomputed in full: compilation failed, answered by the "
-                "tree-walking active-domain evaluator"
-            )
-            return self._tree_walk_answer(query, state, deadline)
-        self.fallback_reason = None
-        self.last_summary = compiled.summary()
-        if self.answer_cache is None:
-            self.last_decision = "recomputed in full: no answer cache configured"
-            relation = compiled.execute(
-                state, self.domain, self.extra_elements, deadline=deadline
-            )
-            return FiniteAnswer(relation, method="compiled-algebra")
-        key = (query, state.schema, self.domain.name, self.extra_elements)
-        rows, decision = self.answer_cache.answer(
-            key, compiled, state, self.extra_elements, self.domain, deadline
-        )
-        self.last_decision = decision
-        relation = Relation(len(compiled.output), rows)
-        return FiniteAnswer(relation, method="incremental")
-
-    def explain(self) -> str:
-        text = super().explain()
-        if self.answer_cache is not None:
+        if "incremental" in self.rungs and self.answer_cache is not None:
             text += f"; answer cache {self.answer_cache.info()}"
         if self.last_decision:
             text += f"; last answer: {self.last_decision}"
@@ -771,10 +660,10 @@ def plan_for_strategy(
 ) -> Plan:
     """Build the :class:`Plan` for a strategy name.
 
-    This is the planner behind the legacy string-flag API.  ``"auto"`` picks
-    enumeration when the domain theory is decidable and active-domain
-    semantics otherwise, and wraps the choice in a :class:`GuardedPlan` when a
-    syntax or safety guard is supplied.  A ``cancel_token`` aborts the
+    ``"auto"`` picks enumeration when the domain theory is decidable and
+    active-domain semantics otherwise, and wraps the choice in a
+    :class:`GuardedPlan` when a syntax or safety guard is supplied; each
+    algebra strategy runs its :data:`STRATEGY_RUNGS` ladder.  A ``cancel_token`` aborts the
     execution cooperatively from another thread; ``breaker`` overrides the
     process-wide default substrate failure breaker.
     """
@@ -787,52 +676,18 @@ def plan_for_strategy(
             reason="requested explicitly; every answer is finite by construction",
             cancel_token=cancel_token,
         )
-    elif strategy == "compiled":
-        inner = CompiledAlgebraPlan(
+    elif strategy in STRATEGY_RUNGS:
+        if strategy == "incremental" and answer_cache is None:
+            answer_cache = AnswerCache()
+        inner = AlgebraPlan(
             domain=domain,
             budget=budget,
             extra_elements=tuple(extra_elements),
+            rungs=STRATEGY_RUNGS[strategy],
             cache=cache,
-            reason="requested explicitly; compiles to relational algebra and "
-            "falls back to tree walking when compilation bails",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "vectorized":
-        inner = VectorizedAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            reason="requested explicitly; lowers the algebra plan to NumPy "
-            "column kernels, falling back to the set executor (and, when "
-            "compilation bails, the tree walker)",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "parallel":
-        inner = ParallelAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            reason="requested explicitly; runs the vectorized NumPy kernels "
-            "morsel-parallel on the shared worker pool (small states stay "
-            "single-threaded), falling back to the set executor (and, when "
-            "compilation bails, the tree walker)",
-            cancel_token=cancel_token,
-            breaker=breaker,
-        )
-    elif strategy == "incremental":
-        inner = IncrementalAlgebraPlan(
-            domain=domain,
-            budget=budget,
-            extra_elements=tuple(extra_elements),
-            cache=cache,
-            answer_cache=answer_cache if answer_cache is not None else AnswerCache(),
-            reason="requested explicitly; materialises answers and patches "
-            "them by ΔQ rules when the state mutates, falling back to a full "
-            "re-execution (and, when compilation bails, the tree walker)",
+            answer_cache=answer_cache,
+            reason="requested explicitly; the first rung of the ladder that "
+            "applies answers (the tree walker when compilation bails)",
             cancel_token=cancel_token,
             breaker=breaker,
         )
@@ -869,12 +724,7 @@ def plan_for_strategy(
             "strategy 'guarded' requires an effective syntax and/or a "
             "relative-safety decider"
         )
-    if syntax is None and safety is None:
-        return inner
-    if strategy in (
-        "active-domain", "compiled", "vectorized", "parallel", "incremental",
-        "enumeration",
-    ):
+    if strategy not in ("auto", "guarded") or (syntax is None and safety is None):
         # Explicit single-strategy requests bypass the guards.
         return inner
     parts = []

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..domains.equality import EqualityDomain
-from ..engine.evaluator import QueryEngine
+from ..engine.plans import plan_for_strategy
 from ..logic.builders import atom, conj, disj, exists, neg, neq, var
 from ..safety.relative_safety import EqualityRelativeSafety
-from .corpora import family_schema, family_state
+from .corpora import family_state
 from .report import ExperimentResult
 
 __all__ = ["more_than_one_son_query", "grandfather_query", "run"]
@@ -61,7 +61,7 @@ def run(generations: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
         ),
     )
     domain = EqualityDomain()
-    engine = QueryEngine(domain, family_schema())
+    plan = plan_for_strategy("active-domain", domain)
     decider = EqualityRelativeSafety(domain)
     queries = [
         ("M(x)", more_than_one_son_query(), True),
@@ -72,7 +72,7 @@ def run(generations: Sequence[int] = (1, 2, 3)) -> ExperimentResult:
     for generation_count in generations:
         state = family_state(generations=generation_count, sons_per_father=2)
         for name, query, expected_finite in queries:
-            answer = engine.answer_active_domain(query, state)
+            answer = plan.execute(query, state)
             verdict = decider.decide(query, state)
             matches = verdict.is_finite == expected_finite
             result.add_row(

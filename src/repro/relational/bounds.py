@@ -93,14 +93,15 @@ __all__ = [
 ORDER_PREDICATES = ("<", "<=", ">", ">=")
 
 
-def registry_capability(domain: Any, flag: str) -> bool:
-    """The registry capability ``flag`` for ``domain``.
+def registry_capability(domain: Any, attribute: str, default: Any = False) -> Any:
+    """The registry capability ``attribute`` (a flag or the ``substrates``
+    ladder) for ``domain``.
 
     Domains are looked up by their ``name`` in the registry; unregistered
-    domains fall back to a same-named attribute on the instance (default
-    ``False``).  This is the one place the capability-lookup pattern lives —
-    :func:`domain_is_ordered` and the enumeration engine's compiled-backend
-    check both go through it.
+    domains fall back to a same-named attribute on the instance (else
+    ``default``).  This is the one place the capability-lookup pattern
+    lives — :func:`domain_is_ordered` and the enumeration engine's
+    compiled-backend check both go through it.
     """
     name = getattr(domain, "name", None)
     if isinstance(name, str):
@@ -109,10 +110,10 @@ def registry_capability(domain: Any, flag: str) -> bool:
         from ..domains.registry import UnknownDomainError, get_entry
 
         try:
-            return bool(getattr(get_entry(name), flag))
+            return getattr(get_entry(name), attribute)
         except UnknownDomainError:
             pass
-    return bool(getattr(domain, flag, False))
+    return getattr(domain, attribute, default)
 
 
 def domain_is_ordered(domain: Any) -> bool:
@@ -128,7 +129,7 @@ def domain_is_ordered(domain: Any) -> bool:
     >>> domain_is_ordered(NaturalOrderDomain()), domain_is_ordered(EqualityDomain())
     (True, False)
     """
-    return registry_capability(domain, "ordered_carrier")
+    return bool(registry_capability(domain, "ordered_carrier"))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ Vectorization is deliberately partial, mirroring how compilation itself is
 partial: domain-predicate filters (``x < y``) vectorize only when the carrier
 is numeric (codes *are* values) and the predicate is one of the standard
 integer comparisons; anything else raises :class:`VectorizationError` and the
-caller — :class:`repro.engine.plans.VectorizedAlgebraPlan` — falls back to
-the set executor, recording the reason in ``explain()``.  NumPy itself is a
+caller — :class:`repro.engine.plans.AlgebraPlan` — falls back to the set
+executor, recording the reason in ``explain()``.  NumPy itself is a
 soft dependency: without it every plan falls back the same way.
 
 Doctest — a vectorized scan-and-join, equal to the set executor's answer:
@@ -125,7 +125,7 @@ def vectorization_obstacle(plan: PlanNode) -> Optional[str]:
     """The *static* reason ``plan`` cannot run vectorized, or ``None``.
 
     This is state-independent (it depends only on the operators in the plan),
-    so :class:`~repro.engine.plans.VectorizedAlgebraPlan` caches it alongside
+    so :class:`~repro.engine.plans.AlgebraPlan` caches it alongside
     the compiled plan.  Carrier-dependent obstacles (e.g. a domain predicate
     over a dictionary-encoded carrier) surface later, at execution time.
 

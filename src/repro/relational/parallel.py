@@ -234,7 +234,7 @@ class StageMergeStats:
 
 @dataclass
 class MorselStats:
-    """Per-run morsel accounting, surfaced by ``ParallelAlgebraPlan.explain()``.
+    """Per-run morsel accounting, surfaced by ``AlgebraPlan.explain()``.
 
     >>> stats = MorselStats(workers=4, morsel_rows=1000)
     >>> stats.record("join", morsels=3, rows_in=2500, rows_out=900)
@@ -475,7 +475,7 @@ def run_plan_parallel(
 
     Inputs at or below one morsel run on the calling thread — callers can
     leave this substrate on without a size check, though
-    :class:`~repro.engine.plans.ParallelAlgebraPlan` adds a state-size
+    :class:`~repro.engine.plans.AlgebraPlan` adds a state-size
     heuristic so tiny queries skip even the encode of the shared pool path.
 
     >>> from repro.relational.exec import AdomScan

@@ -1,9 +1,9 @@
 """The on-disk plan store: compiled plans that survive process restarts.
 
-A :class:`~repro.relational.compile.CompiledQuery` is a pure function of its
-plan-cache key — ``(formula, schema, domain name, substrate)`` — and contains
-only frozen dataclasses, so it pickles cleanly and can be reloaded by a
-different process.  :class:`PlanStore` keeps one pickle file per key under a
+A plan-cache entry — a :class:`~repro.relational.compile.CompiledQuery` plus
+its static vectorization obstacle — is a pure function of its key,
+``(formula, schema, domain name)``, and contains only frozen dataclasses, so
+it pickles cleanly and can be reloaded by a different process.  :class:`PlanStore` keeps one pickle file per key under a
 directory; :class:`PersistentPlanCache` layers it *under* the in-memory
 :class:`~repro.engine.plan_cache.PlanCache` so that
 
@@ -51,7 +51,7 @@ from ..testing import faults
 __all__ = ["PlanStore", "PersistentPlanCache", "STORE_VERSION", "fingerprint_key"]
 
 #: bump when the pickled payload shape (or plan IR) changes incompatibly
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _SUFFIX = ".plan"
 
@@ -59,8 +59,8 @@ _SUFFIX = ".plan"
 def fingerprint_key(key: Hashable) -> str:
     """A stable hex fingerprint of an in-memory plan-cache key.
 
-    >>> fp = fingerprint_key(("formula-repr", "schema-repr", "nat<", "compiled"))
-    >>> len(fp), fp == fingerprint_key(("formula-repr", "schema-repr", "nat<", "compiled"))
+    >>> fp = fingerprint_key(("formula-repr", "schema-repr", "nat<"))
+    >>> len(fp), fp == fingerprint_key(("formula-repr", "schema-repr", "nat<"))
     (64, True)
     >>> fp != fingerprint_key(("formula-repr", "schema-repr", "nat<", "vectorized"))
     True

@@ -22,7 +22,6 @@ from repro.domains.registry import (
     get_entry,
     resolve_domain_name,
 )
-from repro.engine import QueryEngine
 from repro.engine.answers import Answer, FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from repro.engine.plans import plan_for_strategy
 from repro.experiments.corpora import family_schema, family_state, numeric_schema
@@ -359,33 +358,28 @@ def test_session_repr_and_explain():
     assert "strategy" in text and "free variables" in text
 
 
-def test_legacy_query_engine_accepts_budget_objects():
-    engine = QueryEngine(PresburgerDomain(), numeric_schema())
+def test_plan_for_strategy_accepts_budget_objects():
     from repro.experiments.corpora import numeric_state
 
     state = numeric_state([2, 4])
     query = atom("S", var("x"))
-    via_budget = engine.answer(query, state, budget=Budget(max_rows=10, max_candidates=50))
-    via_kwargs = engine.answer(query, state, max_rows=10, max_candidates=50)
-    assert via_budget.rows() == via_kwargs.rows() == ((2,), (4,))
-    plan = engine.plan("auto")
+    budget = Budget(max_rows=10, max_candidates=50)
+    plan = plan_for_strategy("auto", PresburgerDomain(), budget)
     assert isinstance(plan, EnumerationPlan) and plan.explain()
+    assert plan.budget is budget
+    assert plan.execute(query, state).rows() == ((2,), (4,))
 
 
-def test_legacy_guarded_engine_budget_wins_over_legacy_kwargs():
-    from repro.engine import GuardedEngine
+def test_session_budget_caps_enumeration():
     from repro.experiments.corpora import numeric_state
 
-    engine = QueryEngine(PresburgerDomain(), numeric_schema())
-    guarded = GuardedEngine(engine)
+    session = connect(PresburgerDomain(), numeric_schema(), guard=False)
     state = numeric_state([1])
-    # budget alongside the legacy keywords must not raise; budget wins.
-    result = guarded.answer(
+    result = session.run(
         atom("<", var("x"), 2),
         state,
         strategy="enumeration",
         budget=Budget(max_rows=1, max_candidates=50),
-        max_rows=7,
     )
     assert isinstance(result.answer, UnknownAnswer)
     assert len(result.answer.rows()) == 1

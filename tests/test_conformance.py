@@ -226,7 +226,7 @@ def test_harness_fails_on_false_substrate_claim():
     braggart = DomainPack(
         name="braggart_successor",
         factory=SuccessorDomain,
-        supports_compiled_algebra=True,  # false: succ terms never compile
+        substrates=("compiled",),  # false: succ terms never compile
         corpora_factory=corpora,
     )
     with temporary_pack(braggart):

@@ -1,21 +1,16 @@
-"""Tests for the query engine: enumeration algorithm, evaluator facade, guards."""
+"""Tests for the query engine: enumeration algorithm, strategy routing, guards."""
 
 import pytest
 
+from repro import Budget, connect
 from repro.domains.base import TheoryUndecidableError
 from repro.domains.equality import EqualityDomain
 from repro.domains.nat_order import NaturalOrderDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.engine.answers import FiniteAnswer, InfiniteAnswer, UnknownAnswer
 from repro.engine.enumeration import answer_by_enumeration, enumerate_tuples
-from repro.engine.evaluator import QueryEngine
-from repro.engine.safety_guard import GuardedEngine
-from repro.experiments.corpora import (
-    family_schema,
-    family_state,
-    numeric_schema,
-    numeric_state,
-)
+from repro.engine.plans import plan_for_strategy
+from repro.experiments.corpora import family_schema, family_state, numeric_state
 from repro.experiments.exp01_intro_queries import (
     more_than_one_son_query,
     unsafe_disjunction_query,
@@ -61,65 +56,62 @@ def test_enumeration_gives_up_on_infinite_queries():
     assert len(answer.partial) == 5
 
 
-def test_query_engine_strategies():
+def test_plan_for_strategy_routes_each_strategy():
     domain = PresburgerDomain()
-    engine = QueryEngine(domain, numeric_schema())
     state = numeric_state([2, 4])
     query = atom("S", var("x"))
-    active = engine.answer(query, state, strategy="active-domain")
-    enumerated = engine.answer(query, state, strategy="enumeration", max_rows=10, max_candidates=50)
-    auto = engine.answer(query, state)
+    budget = Budget(max_rows=10, max_candidates=50)
+    active = plan_for_strategy("active-domain", domain).execute(query, state)
+    enumerated = plan_for_strategy("enumeration", domain, budget).execute(query, state)
+    auto = plan_for_strategy("auto", domain).execute(query, state)
     assert active.relation.rows == enumerated.relation.rows == auto.relation.rows == {(2,), (4,)}
     with pytest.raises(ValueError):
-        engine.answer(query, state, strategy="mystery")
+        plan_for_strategy("mystery", domain)
 
 
-def test_query_engine_rejects_enumeration_without_decidability():
+def test_enumeration_is_refused_without_decidability():
     from repro.safety.extension import OrderedExtensionDomain
 
     undecidable = OrderedExtensionDomain(EqualityDomain())
-    engine = QueryEngine(undecidable, numeric_schema())
+    state = numeric_state([1])
     with pytest.raises(TheoryUndecidableError):
-        engine.answer_by_enumeration(atom("S", var("x")), numeric_state([1]))
+        plan_for_strategy("enumeration", undecidable).execute(atom("S", var("x")), state)
     # auto strategy falls back to active-domain evaluation
-    answer = engine.answer(atom("S", var("x")), numeric_state([1]))
+    answer = plan_for_strategy("auto", undecidable).execute(atom("S", var("x")), state)
     assert isinstance(answer, FiniteAnswer)
 
 
-def test_guarded_engine_syntax_rewrite_and_safety_rejection():
-    domain = EqualityDomain()
-    schema = family_schema()
+def test_guarded_session_syntax_rewrite_and_safety_rejection():
     state = family_state(generations=2)
-    engine = QueryEngine(domain, schema)
-    syntax = ActiveDomainSyntax(schema)
-    safety = EqualityRelativeSafety(domain)
 
-    guarded = GuardedEngine(engine, syntax=syntax, safety=safety)
-    outcome = guarded.answer(unsafe_disjunction_query(), state, strategy="active-domain")
+    restricted = connect("eq", family_schema(), restrict=True)
+    assert isinstance(restricted.syntax, ActiveDomainSyntax)
+    outcome = restricted.run(unsafe_disjunction_query(), state)
     assert outcome.rewritten
     assert isinstance(outcome.answer, FiniteAnswer)
 
-    unguarded_syntax = GuardedEngine(engine, syntax=None, safety=safety)
-    rejection = unguarded_syntax.answer(unsafe_disjunction_query(), state, strategy="active-domain")
+    safety_only = connect("eq", family_schema())
+    assert isinstance(safety_only.safety, EqualityRelativeSafety)
+    rejection = safety_only.run(unsafe_disjunction_query(), state)
     assert isinstance(rejection.answer, InfiniteAnswer)
     assert rejection.verdict is not None and rejection.verdict.is_finite is False
 
-    accepted = unguarded_syntax.answer(more_than_one_son_query(), state, strategy="active-domain")
+    accepted = safety_only.run(more_than_one_son_query(), state)
     assert isinstance(accepted.answer, FiniteAnswer)
     assert not accepted.rewritten
 
 
-def test_guarded_engine_with_ordered_safety():
+def test_guarded_plan_with_ordered_safety():
     domain = PresburgerDomain()
-    engine = QueryEngine(domain, numeric_schema())
-    guarded = GuardedEngine(engine, safety=OrderedRelativeSafety(domain))
+    safety = OrderedRelativeSafety(domain)
     state = numeric_state([3, 8])
+    budget = Budget(max_rows=20, max_candidates=100)
+    guarded = plan_for_strategy("guarded", domain, budget, safety=safety)
     finite_query = exists("y", conj(atom("S", var("y")), atom("<", var("x"), var("y"))))
-    outcome = guarded.answer(finite_query, state, strategy="enumeration",
-                             max_rows=20, max_candidates=100)
+    outcome = guarded.run(finite_query, state)
     assert isinstance(outcome.answer, FiniteAnswer)
     assert outcome.answer.relation.rows == {(n,) for n in range(8)}
 
     infinite_query = neg(atom("S", var("x")))
-    rejected = guarded.answer(infinite_query, state, strategy="enumeration")
+    rejected = guarded.run(infinite_query, state)
     assert isinstance(rejected.answer, InfiniteAnswer)

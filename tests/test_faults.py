@@ -4,7 +4,8 @@ import pytest
 
 from repro import Budget
 from repro.engine.breaker import SubstrateBreaker, default_breaker
-from repro.engine.plans import ParallelAlgebraPlan, VectorizedAlgebraPlan
+from repro.domains.equality import EqualityDomain
+from repro.engine.plans import STRATEGY_RUNGS, AlgebraPlan, plan_for_strategy
 from repro.relational.columnar import HAVE_NUMPY
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.state import DatabaseState
@@ -159,7 +160,10 @@ def test_injected_kernel_fault_falls_back_to_the_set_executor():
 
     domain, state = nat_fixture()
     breaker = SubstrateBreaker(threshold=3, cooldown=30.0)
-    plan = VectorizedAlgebraPlan(domain=domain, budget=Budget(), breaker=breaker)
+    plan = AlgebraPlan(
+        domain=domain, budget=Budget(), breaker=breaker,
+        rungs=STRATEGY_RUNGS["vectorized"],
+    )
     query = parse_formula("F(x, y)")
     with inject(FaultPlan([FaultSpec("kernel-entry", "exception")])):
         answer = plan.execute(query, state)
@@ -176,9 +180,9 @@ def test_repeated_faults_demote_the_substrate_until_cooldown():
     domain, state = nat_fixture()
     clock = FakeClock()
     breaker = SubstrateBreaker(threshold=2, cooldown=60.0, clock=clock)
-    plan = ParallelAlgebraPlan(
+    plan = AlgebraPlan(
         domain=domain, budget=Budget(), breaker=breaker,
-        parallel_threshold=1, morsel_rows=2,
+        rungs=STRATEGY_RUNGS["parallel"], parallel_threshold=1, morsel_rows=2,
     )
     query = parse_formula("F(x, y)")
     expected = frozenset({(1, 2), (2, 3), (3, 4)})
@@ -192,6 +196,17 @@ def test_repeated_faults_demote_the_substrate_until_cooldown():
         assert frozenset(answer.relation.rows) == expected
         assert "breaker" in (plan.fallback_reason or "")
         assert "parallel breaker" in plan.explain()
+
+
+def test_explain_reports_breakers_only_for_the_plans_own_rungs():
+    breaker = SubstrateBreaker(threshold=1, cooldown=60.0)
+    breaker.record_fault("parallel", RuntimeError("boom"))
+    assert breaker.state("parallel") == "open"
+    for strategy in ("compiled", "incremental", "vectorized"):
+        plan = plan_for_strategy(strategy, EqualityDomain(), breaker=breaker)
+        assert "breaker" not in plan.explain(), strategy
+    parallel = plan_for_strategy("parallel", EqualityDomain(), breaker=breaker)
+    assert "parallel breaker open" in parallel.explain()
 
 
 # ---------------------------------------------------------------------------

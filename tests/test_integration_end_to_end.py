@@ -8,8 +8,9 @@ from repro.domains import (
     SuccessorDomain,
     TraceDomain,
 )
-from repro.engine import FiniteAnswer, GuardedEngine, QueryEngine
-from repro.experiments.corpora import family_schema, family_state, numeric_schema, numeric_state
+from repro import Budget, connect
+from repro.engine import FiniteAnswer, GuardedPlan, plan_for_strategy
+from repro.experiments.corpora import family_schema, family_state, numeric_state
 from repro.experiments.exp01_intro_queries import grandfather_query, more_than_one_son_query
 from repro.logic import atom, conj, exists, parse_formula, print_formula, var
 from repro.safety import (
@@ -39,16 +40,18 @@ def test_family_workflow_over_equality_domain():
     schema = family_schema()
     state = family_state(generations=3)
     domain = EqualityDomain()
-    engine = QueryEngine(domain, schema)
-    guarded = GuardedEngine(
-        engine,
+    session = connect(
+        domain,
+        schema,
         syntax=ActiveDomainSyntax(schema),
         safety=EqualityRelativeSafety(domain),
     )
-    outcome = guarded.answer(more_than_one_son_query(), state, strategy="active-domain")
+    plan = session.plan()
+    assert isinstance(plan, GuardedPlan)
+    outcome = session.run(more_than_one_son_query(), state)
     assert isinstance(outcome.answer, FiniteAnswer)
     assert len(outcome.answer.relation) == 7  # every non-leaf person has two sons
-    grand = guarded.answer(grandfather_query(), state, strategy="active-domain")
+    grand = session.run(grandfather_query(), state)
     assert len(grand.answer.relation) == 4 + 8  # grandfather/grandson pairs
 
 
@@ -56,19 +59,21 @@ def test_ordered_workflow_parse_finitize_decide_answer():
     """Text query -> finitization -> Theorem 2.5 decision -> enumeration answer."""
     domain = PresburgerDomain()
     state = numeric_state([4, 9])
-    engine = QueryEngine(domain, numeric_schema())
+    enumeration = plan_for_strategy(
+        "enumeration", domain, Budget(max_rows=20, max_candidates=100)
+    )
     decider = OrderedRelativeSafety(domain)
 
     query = parse_formula("exists y. (S(y) & x < y)")
     assert decider.decide(query, state).is_finite is True
-    answer = engine.answer_by_enumeration(query, state, max_rows=20, max_candidates=100)
+    answer = enumeration.execute(query, state)
     assert isinstance(answer, FiniteAnswer)
     assert answer.relation.rows == {(n,) for n in range(9)}
 
     finitized = finitize(query)
     assert FinitizationSyntax().contains(finitized)
     # the finitization answers identically for this (finite) query
-    same = engine.answer_by_enumeration(finitized, state, max_rows=20, max_candidates=100)
+    same = enumeration.execute(finitized, state)
     assert same.relation.rows == answer.relation.rows
 
 

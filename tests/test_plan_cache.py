@@ -7,10 +7,10 @@ from repro.domains.equality import EqualityDomain
 from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     STRATEGIES,
+    STRATEGY_RUNGS,
     ActiveDomainPlan,
-    CompiledAlgebraPlan,
+    AlgebraPlan,
     GuardedPlan,
-    VectorizedAlgebraPlan,
     plan_for_strategy,
 )
 from repro.domains.registry import get_entry
@@ -65,26 +65,36 @@ def test_cache_clear_keeps_counters():
 
 
 def test_registry_capability_flags():
-    assert get_entry("eq").supports_compiled_algebra
-    assert get_entry("presburger").supports_compiled_algebra
-    assert not get_entry("succ").supports_compiled_algebra
-    assert not get_entry("traces").supports_compiled_algebra
-    assert get_entry("eq").supports_vectorized
-    assert get_entry("nat<").supports_vectorized
-    # succ's int carrier encodes fine; the flag is declarative until the
-    # domain gains a compiled backend (auto-selection needs both flags).
-    assert get_entry("succ").supports_vectorized
-    assert not get_entry("traces").supports_vectorized
+    assert "compiled" in get_entry("eq").substrates
+    assert "compiled" in get_entry("presburger").substrates
+    assert "compiled" not in get_entry("succ").substrates
+    assert "compiled" not in get_entry("traces").substrates
+    assert "vectorized" in get_entry("eq").substrates
+    assert "vectorized" in get_entry("nat<").substrates
+    # succ terms never compile, so no rung of the ladder could run them.
+    assert get_entry("succ").substrates == ()
+    assert "vectorized" not in get_entry("traces").substrates
+
+
+def test_registry_rejects_substrate_ladders_no_plan_can_run():
+    from repro.domains.registry import DomainEntry
+
+    # the vectorized rung runs compiled plans, so it cannot stand alone
+    with pytest.raises(ValueError):
+        DomainEntry(name="x", factory=EqualityDomain, substrates=("vectorized",))
+    with pytest.raises(ValueError):
+        DomainEntry(name="x", factory=EqualityDomain, substrates=("compiled", "vectorized"))
+    assert DomainEntry(name="x", factory=EqualityDomain, substrates=("vectorized", "compiled"))
 
 
 def test_guard_certified_equality_queries_use_the_vectorized_backend():
     session = connect("eq", family_schema())
     plan = session.plan()
     assert isinstance(plan, GuardedPlan)
-    # The vectorized plan is a CompiledAlgebraPlan: same calculus→algebra
-    # compiler, different execution substrate.
-    assert isinstance(plan.inner, VectorizedAlgebraPlan)
-    assert isinstance(plan.inner, CompiledAlgebraPlan)
+    # One algebra plan: same calculus→algebra compiler, a ladder of
+    # execution substrates.
+    assert isinstance(plan.inner, AlgebraPlan)
+    assert "vectorized" in plan.inner.rungs
     state = family_state(generations=2)
     result = session.run("exists y. (F(x, y) & F(y, z))", state)
     assert result.answer.method == "vectorized"
@@ -118,7 +128,7 @@ def test_compiled_strategy_is_explicitly_requestable():
     assert "compiled" in STRATEGIES
     session = connect("eq", family_schema())
     plan = session.plan("compiled")
-    assert isinstance(plan, CompiledAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan) and plan.rungs == STRATEGY_RUNGS["compiled"]
     state = family_state(generations=1)
     answer = session.execute(plan, "F(x, y)", state)
     assert answer.method == "compiled-algebra"
@@ -128,7 +138,7 @@ def test_compiled_strategy_is_explicitly_requestable():
 
 def test_plan_for_strategy_builds_a_compiled_plan_without_a_cache():
     plan = plan_for_strategy("compiled", EqualityDomain(), Budget())
-    assert isinstance(plan, CompiledAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan)
     assert plan.cache is None
 
 
@@ -137,7 +147,7 @@ def test_unsupported_domains_keep_the_tree_walker_for_guarded_auto():
     # terms, so the planner keeps enumeration / tree walking.
     session = connect("succ")
     plan = session.plan()
-    assert not isinstance(getattr(plan, "inner", plan), CompiledAlgebraPlan)
+    assert not isinstance(getattr(plan, "inner", plan), AlgebraPlan)
 
 
 def test_fallback_reason_is_recorded_and_cleared():
@@ -168,7 +178,7 @@ def test_active_domain_plan_and_compiled_plan_agree_under_extra_elements():
 
     query = parse_formula("~F(x, y)")
     walker = ActiveDomainPlan(domain=domain, extra_elements=(99,))
-    compiled = CompiledAlgebraPlan(domain=domain, extra_elements=(99,))
+    compiled = AlgebraPlan(domain=domain, extra_elements=(99,))
     assert walker.execute(query, state).rows() == compiled.execute(query, state).rows()
 
 

@@ -33,9 +33,9 @@ from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plans import (
     STRATEGIES,
-    CompiledAlgebraPlan,
+    STRATEGY_RUNGS,
+    AlgebraPlan,
     GuardedPlan,
-    VectorizedAlgebraPlan,
     plan_for_strategy,
 )
 from repro.experiments.corpora import (
@@ -242,12 +242,8 @@ def test_property_family_queries_on_empty_relations(name, query):
 
 
 def _substrate_pack_names():
-    """Packs claiming an algebra substrate, from the registry — not a list."""
-    return [
-        name for name in available_packs()
-        if get_pack(name).supports_compiled_algebra
-        or get_pack(name).supports_vectorized
-    ]
+    """Packs with example corpora, from the registry — not a list."""
+    return [name for name in available_packs() if get_pack(name).corpora()]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -274,8 +270,8 @@ def test_property_pack_corpora_three_way(pack_name, seed):
                     pq.query, state, interpretation=domain, extra_elements=extras
                 )
                 for plan in (
-                    CompiledAlgebraPlan(domain=domain, extra_elements=extras),
-                    VectorizedAlgebraPlan(domain=domain, extra_elements=extras),
+                    AlgebraPlan(domain=domain, extra_elements=extras),
+                    AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=domain, extra_elements=extras),
                 ):
                     answer = plan.execute(pq.query, state)
                     assert set(answer.rows()) == expected.rows, (
@@ -313,7 +309,7 @@ def test_succ_terms_fall_back_to_the_tree_walker():
     query = parse_formula("exists y. (S(y) & x = succ(y))")
     state = numeric_state([2, 3])  # succ(2) = 3 is in the active domain
     expected = evaluate_query_active_domain(query, state, interpretation=SUCCESSOR)
-    plan = VectorizedAlgebraPlan(domain=SUCCESSOR)
+    plan = AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=SUCCESSOR)
     answer = plan.execute(query, state)
     assert set(answer.rows()) == expected.rows == {(3,)}
     assert answer.method == "active-domain"
@@ -328,7 +324,7 @@ def test_succ_terms_fall_back_to_the_tree_walker():
 def test_vectorized_strategy_is_registered():
     assert "vectorized" in STRATEGIES
     plan = plan_for_strategy("vectorized", EqualityDomain())
-    assert isinstance(plan, VectorizedAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan)
     assert plan.strategy == "vectorized"
 
 
@@ -336,7 +332,7 @@ def test_auto_prefers_vectorized_over_compiled_for_equality():
     session = connect("eq", family_schema())
     plan = session.plan()
     assert isinstance(plan, GuardedPlan)
-    assert isinstance(plan.inner, VectorizedAlgebraPlan)
+    assert isinstance(plan.inner, AlgebraPlan) and "vectorized" in plan.inner.rungs
     state = family_state(generations=3)
     result = session.run("exists y. (F(x, y) & F(y, z))", state)
     assert result.answer.method == "vectorized"
@@ -346,7 +342,7 @@ def test_auto_prefers_vectorized_over_compiled_for_equality():
 def test_explicit_vectorized_strategy_reports_and_answers():
     session = connect("eq", family_schema())
     plan = session.plan("vectorized")
-    assert isinstance(plan, VectorizedAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan)
     state = family_state(generations=2)
     answer = session.execute(plan, "F(x, y)", state)
     assert answer.method == "vectorized"
@@ -354,15 +350,17 @@ def test_explicit_vectorized_strategy_reports_and_answers():
     assert "strategy 'vectorized'" in plan.explain()
 
 
-def test_plan_cache_keys_separate_compiled_and_vectorized_substrates():
+def test_plan_cache_entry_is_shared_by_compiled_and_vectorized_substrates():
+    # One entry per (query, schema, domain) holds the compiled plan and its
+    # static vectorization obstacle, so every rung reuses it.
     session = connect("eq", family_schema())
     state = family_state(generations=1)
     session.query("F(x, y)", state, strategy="vectorized")
     session.query("F(x, y)", state, strategy="compiled")
     info = session.plan_cache_info()
-    assert info.size == 2 and info.misses == 2
+    assert info.size == 1 and info.misses == 1
     session.query("F(x, y)", state, strategy="vectorized")
-    assert session.plan_cache_info().hits == 1
+    assert session.plan_cache_info().hits == 2
 
 
 def test_traces_fallback_is_recorded_in_explain():
@@ -390,7 +388,7 @@ def test_missing_numpy_falls_back_to_set_executor(monkeypatch):
 
     monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
     assert vectorization_obstacle(AdomScan(("x",))) == "numpy is not installed"
-    plan = VectorizedAlgebraPlan(domain=EQ)
+    plan = AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=EQ)
     state = family_state(generations=2)
     answer = plan.execute(parse_formula("F(x, y)"), state)
     assert answer.method == "compiled-algebra"
@@ -401,10 +399,10 @@ def test_missing_numpy_falls_back_to_set_executor(monkeypatch):
 def test_vectorized_plan_respects_extra_elements():
     state = family_state(generations=2)
     query = parse_formula("~F(x, y)")
-    walker_rows = CompiledAlgebraPlan(
+    walker_rows = AlgebraPlan(
         domain=EQ, extra_elements=(99,)
     ).execute(query, state).rows()
-    vectorized_rows = VectorizedAlgebraPlan(
-        domain=EQ, extra_elements=(99,)
+    vectorized_rows = AlgebraPlan(
+        rungs=STRATEGY_RUNGS["vectorized"], domain=EQ, extra_elements=(99,)
     ).execute(query, state).rows()
     assert vectorized_rows == walker_rows

@@ -20,7 +20,7 @@ from repro.domains.equality import EqualityDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plan_cache import PlanCache
-from repro.engine.plans import CompiledAlgebraPlan
+from repro.engine.plans import AlgebraPlan
 from repro.experiments.corpora import (
     family_schema,
     family_state,
@@ -270,7 +270,7 @@ def test_property_successor_corpus_via_plan_fallback(seed, name, query):
     values = [rng.randrange(0, 9) for _ in range(rng.randrange(0, 5))]
     state = numeric_state(values)
     expected = evaluate_query_active_domain(query, state, interpretation=SUCCESSOR)
-    plan = CompiledAlgebraPlan(domain=SUCCESSOR)
+    plan = AlgebraPlan(domain=SUCCESSOR)
     answer = plan.execute(query, state)
     assert set(answer.rows()) == expected.rows
     if plan.fallback_reason is not None:

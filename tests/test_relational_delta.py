@@ -31,10 +31,8 @@ from repro.engine.answer_cache import AnswerCache
 from repro.engine.budget import Budget
 from repro.engine.plans import (
     STRATEGIES,
-    CompiledAlgebraPlan,
-    IncrementalAlgebraPlan,
-    ParallelAlgebraPlan,
-    VectorizedAlgebraPlan,
+    STRATEGY_RUNGS,
+    AlgebraPlan,
     plan_for_strategy,
 )
 from repro.logic.parser import parse_formula
@@ -332,7 +330,7 @@ def test_maintenance_is_cumulative_across_many_deltas():
 def _substrate_pack_names():
     return [
         name for name in available_packs()
-        if get_pack(name).supports_compiled_algebra
+        if "compiled" in get_pack(name).substrates
     ]
 
 
@@ -358,12 +356,16 @@ def test_property_interleaved_deltas_equal_rebuilt(pack_name, seed):
     pack = get_pack(pack_name)
     domain = pack.factory()
     extras = tuple(domain.carrier_elements()) if pack.finite_carrier else ()
-    substrates = [CompiledAlgebraPlan(domain=domain, extra_elements=extras)]
-    if HAVE_NUMPY and pack.supports_vectorized:
-        substrates.append(VectorizedAlgebraPlan(domain=domain, extra_elements=extras))
-    if HAVE_NUMPY and pack.supports_parallel:
-        substrates.append(ParallelAlgebraPlan(
+    substrates = [AlgebraPlan(domain=domain, extra_elements=extras)]
+    if HAVE_NUMPY and "vectorized" in pack.substrates:
+        substrates.append(AlgebraPlan(
             domain=domain, extra_elements=extras,
+            rungs=STRATEGY_RUNGS["vectorized"],
+        ))
+    if HAVE_NUMPY and "parallel" in pack.substrates:
+        substrates.append(AlgebraPlan(
+            domain=domain, extra_elements=extras,
+            rungs=STRATEGY_RUNGS["parallel"],
             parallel_threshold=1, morsel_rows=3,
         ))
     checked = 0
@@ -373,8 +375,9 @@ def test_property_interleaved_deltas_equal_rebuilt(pack_name, seed):
         rng = random.Random(f"delta-prop/{pack_name}/{corpus.name}/{seed}")
         state = corpus.state_factory(rng, 4)
         pool = corpus.state_factory(rng, 9)
-        incremental = IncrementalAlgebraPlan(
-            domain=domain, extra_elements=extras, answer_cache=AnswerCache()
+        incremental = AlgebraPlan(
+            domain=domain, extra_elements=extras,
+            rungs=STRATEGY_RUNGS["incremental"], answer_cache=AnswerCache(),
         )
         for step in range(5):
             if step:
@@ -479,7 +482,7 @@ def test_answer_cache_lru_eviction_and_clear():
 def test_incremental_strategy_is_registered():
     assert "incremental" in STRATEGIES
     plan = plan_for_strategy("incremental", EQ)
-    assert isinstance(plan, IncrementalAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan)
     assert plan.strategy == "incremental"
 
 
@@ -502,9 +505,10 @@ def test_incremental_plan_shares_compiled_plan_cache_entries():
     cache = PlanCache(maxsize=8)
     query = parse_formula("F(x, y)")
     state = _state([(1, 2)])
-    CompiledAlgebraPlan(domain=EQ, cache=cache).execute(query, state)
-    plan = IncrementalAlgebraPlan(
-        domain=EQ, cache=cache, answer_cache=AnswerCache()
+    AlgebraPlan(domain=EQ, cache=cache).execute(query, state)
+    plan = AlgebraPlan(
+        domain=EQ, cache=cache, rungs=STRATEGY_RUNGS["incremental"],
+        answer_cache=AnswerCache(),
     )
     plan.execute(query, state)
     assert cache.info().hits >= 1  # the incremental plan reused the entry

@@ -13,7 +13,7 @@ Four layers:
   deterministically across repeated runs (the corpora come from the pack
   registry, so a newly registered pack is covered without editing this
   file);
-* the :class:`~repro.engine.plans.ParallelAlgebraPlan` fallback ladder
+* the :class:`~repro.engine.plans.AlgebraPlan` parallel fallback ladder
   (parallel → vectorized → set executor → tree walker), its size
   heuristic, its ``explain()`` morsel stats, and the ``"parallel"``
   plan-cache substrate key;
@@ -35,9 +35,9 @@ from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
 from repro.engine.plans import (
     STRATEGIES,
+    STRATEGY_RUNGS,
+    AlgebraPlan,
     GuardedPlan,
-    ParallelAlgebraPlan,
-    VectorizedAlgebraPlan,
     plan_for_strategy,
 )
 from repro.experiments.corpora import (
@@ -161,7 +161,7 @@ def _assert_four_way_equivalent(query, state, domain, pool, morsel_rows=3):
 def _parallel_pack_names():
     """Packs claiming the parallel substrate, from the registry."""
     return [
-        name for name in available_packs() if get_pack(name).supports_parallel
+        name for name in available_packs() if "parallel" in get_pack(name).substrates
     ]
 
 
@@ -275,14 +275,15 @@ def test_run_plan_parallel_rejects_bad_morsel_rows(small_pool):
 
 
 # ---------------------------------------------------------------------------
-# ParallelAlgebraPlan: ladder, heuristic, explain, cache keys
+# The parallel ladder: heuristic, skip rule, explain, cache keys
 # ---------------------------------------------------------------------------
 
 
 def test_parallel_strategy_is_registered():
     assert "parallel" in STRATEGIES
     plan = plan_for_strategy("parallel", EqualityDomain())
-    assert isinstance(plan, ParallelAlgebraPlan)
+    assert isinstance(plan, AlgebraPlan)
+    assert plan.rungs == STRATEGY_RUNGS["parallel"]
     assert plan.strategy == "parallel"
 
 
@@ -290,9 +291,9 @@ def test_auto_prefers_parallel_plan_for_equality():
     session = connect("eq", family_schema())
     plan = session.plan()
     assert isinstance(plan, GuardedPlan)
-    assert isinstance(plan.inner, ParallelAlgebraPlan)
-    # ... which is still a VectorizedAlgebraPlan: the ladder is a refinement.
-    assert isinstance(plan.inner, VectorizedAlgebraPlan)
+    assert isinstance(plan.inner, AlgebraPlan)
+    # ... whose ladder refines the vectorized one.
+    assert plan.inner.rungs == ("parallel",) + STRATEGY_RUNGS["vectorized"]
 
 
 def test_small_states_skip_the_pool():
@@ -337,6 +338,35 @@ def test_parallel_plan_falls_back_to_set_executor_on_obstacle():
     assert "fell back" in plan.explain()
 
 
+def test_vectorization_error_on_the_pool_skips_every_columnar_rung(monkeypatch):
+    # A carrier the kernels cannot encode fails the single-threaded kernels
+    # the same way, so the ladder goes straight to the set executor.
+    import repro.engine.plans as plans_module
+    from repro.relational.columnar import VectorizationError
+
+    calls = {"parallel": 0, "vectorized": 0}
+
+    def refusing_parallel(*args, **kwargs):
+        calls["parallel"] += 1
+        raise VectorizationError("carrier does not encode")
+
+    def counting_vectorized(*args, **kwargs):
+        calls["vectorized"] += 1
+        raise AssertionError("the vectorized rung must be skipped")
+
+    monkeypatch.setattr(plans_module, "run_plan_parallel", refusing_parallel)
+    monkeypatch.setattr(plans_module, "run_plan_vectorized", counting_vectorized)
+    plan = plan_for_strategy("parallel", EqualityDomain())
+    plan.parallel_threshold = 1
+    state = family_state(generations=2)
+    answer = plan.execute(parse_formula("F(x, y)"), state)
+    assert calls == {"parallel": 1, "vectorized": 0}
+    assert answer.method == "compiled-algebra"
+    assert set(answer.rows()) == state["F"].rows
+    assert "carrier does not encode" in plan.fallback_reason
+    assert "set-at-a-time" in plan.fallback_reason
+
+
 def test_parallel_plan_falls_back_to_tree_walker_on_compile_error():
     session = connect("succ")
     plan = plan_for_strategy("parallel", SUCCESSOR)
@@ -347,15 +377,15 @@ def test_parallel_plan_falls_back_to_tree_walker_on_compile_error():
     assert "tree-walking" in plan.fallback_reason
 
 
-def test_plan_cache_keys_separate_parallel_and_vectorized_substrates():
+def test_plan_cache_entry_is_shared_by_parallel_and_vectorized_substrates():
     session = connect("eq", family_schema())
     state = family_state(generations=1)
     session.query("F(x, y)", state, strategy="parallel")
     session.query("F(x, y)", state, strategy="vectorized")
     info = session.plan_cache_info()
-    assert info.size == 2 and info.misses == 2
+    assert info.size == 1 and info.misses == 1
     session.query("F(x, y)", state, strategy="parallel")
-    assert session.plan_cache_info().hits == 1
+    assert session.plan_cache_info().hits == 2
 
 
 # ---------------------------------------------------------------------------
