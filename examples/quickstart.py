@@ -114,18 +114,17 @@ def main() -> None:
     #    its predicate P ranges over machine words (strings), which
     #    dictionary-encode fine, but P itself has no array kernel — so an
     #    explicitly requested "vectorized" plan executes on the
-    #    set-at-a-time executor instead, and explain() says why.
+    #    set-at-a-time executor instead, and the result's fallback says why.
     # ------------------------------------------------------------------
     from repro.relational.schema import DatabaseSchema, RelationSchema
 
     word_schema = DatabaseSchema((RelationSchema("W", 1, ("word",)),))
     traces = repro.connect(domain="traces", schema=word_schema)
-    plan = traces.plan("vectorized")
     trace_state = traces.state(W=[("1",), ("11",), ("1&1",)])
-    answer = traces.execute(plan, "W(x) & P(x, x, x)", trace_state)
+    result = traces.run("W(x) & P(x, x, x)", trace_state, strategy="vectorized")
     print("Trace domain, strategy='vectorized' on W(x) & P(x, x, x):")
-    print("    answer method:", answer.method)
-    print("    fallback reason:", plan.fallback_reason)
+    print("    answer method:", result.answer.method)
+    print("    fallback reason:", result.fallback)
 
 
 if __name__ == "__main__":

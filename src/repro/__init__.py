@@ -28,7 +28,7 @@ The package is organised by subsystem:
 from . import domains, engine, logic, relational, safety, turing
 from . import api
 from . import serve
-from .api import Answer, Budget, Session, connect
+from .api import Answer, Budget, QueryResult, Session, connect
 from .domains.registry import available_domains, get_domain
 from .relational.state import Delta
 
@@ -36,6 +36,6 @@ __version__ = "1.3.0"
 
 __all__ = [
     "logic", "relational", "turing", "domains", "safety", "engine", "api",
-    "serve", "connect", "Session", "Budget", "Answer", "Delta", "get_domain",
-    "available_domains", "__version__",
+    "serve", "connect", "Session", "QueryResult", "Budget", "Answer", "Delta",
+    "get_domain", "available_domains", "__version__",
 ]

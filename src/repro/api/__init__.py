@@ -30,7 +30,6 @@ from ..engine.plans import (
     ActiveDomainPlan,
     AlgebraPlan,
     EnumerationPlan,
-    GuardedOutcome,
     GuardedPlan,
     Plan,
 )
@@ -43,7 +42,7 @@ __all__ = [
     "Planner", "PlanError",
     "Budget", "BudgetClock",
     "Plan", "ActiveDomainPlan", "AlgebraPlan", "EnumerationPlan",
-    "GuardedPlan", "GuardedOutcome", "STRATEGIES",
+    "GuardedPlan", "STRATEGIES",
     "PlanCache", "PlanCacheInfo",
     "AnswerCache", "AnswerCacheInfo", "Delta",
     "Answer", "FiniteAnswer", "InfiniteAnswer", "UnknownAnswer",

@@ -13,7 +13,9 @@ session owns the whole pipeline the paper describes:
 3. **plan** — pick an evaluation strategy as a first-class
    :class:`~repro.engine.plans.Plan` with an ``explain()``;
 4. **execute** — run the plan under a :class:`~repro.engine.budget.Budget`
-   and return an :class:`~repro.engine.answers.Answer`.
+   and return an :class:`~repro.engine.answers.Answer`, or (via
+   :meth:`Session.run`) a :class:`~repro.engine.plans.QueryResult` that
+   also records what the run did.
 
 Example::
 
@@ -27,7 +29,7 @@ Example::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import used only by annotations
@@ -39,7 +41,7 @@ from ..engine.answer_cache import AnswerCache, AnswerCacheInfo
 from ..engine.answers import Answer
 from ..engine.budget import Budget, CancelToken
 from ..engine.plan_cache import PlanCache, PlanCacheInfo
-from ..engine.plans import GuardedPlan, Plan, decide_or_semidecide
+from ..engine.plans import Plan, QueryResult, decide_or_semidecide
 from ..logic.analysis import free_variables, functions_of, predicates_of
 from ..logic.formulas import Atom, Formula, walk_formulas
 from ..logic.parser import ParseError, parse_formula
@@ -81,30 +83,6 @@ class QueryAnalysis:
                 f"via {self.verdict.method}"
             )
         return "; ".join(parts)
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """A full pipeline trace: formula, plan, answer, and guard decisions."""
-
-    formula: Formula
-    plan: Plan
-    answer: Answer
-    admitted_query: Formula
-    verdict: Optional[SafetyVerdict] = None
-    rewritten: bool = False
-    elapsed: float = 0.0
-
-    def explain(self) -> str:
-        lines = [self.plan.explain(), self.answer.explain()]
-        if self.rewritten:
-            lines.append("the query was rewritten into the effective syntax")
-        if self.verdict is not None:
-            lines.append(
-                f"safety verdict: {self.verdict.status.value} via {self.verdict.method}"
-            )
-        lines.append(f"elapsed: {self.elapsed * 1000:.2f} ms")
-        return "\n".join(lines)
 
 
 class Session:
@@ -383,32 +361,14 @@ class Session:
         extra_elements: Iterable[Element] = (),
         cancel_token: Optional[CancelToken] = None,
     ) -> QueryResult:
-        """Compile, plan, and execute; return the full pipeline trace."""
+        """Compile, plan, and execute; return the full pipeline trace,
+        timed from compile to answer."""
+        started = time.perf_counter()
         formula = self.compile(query)
         state = state if state is not None else self.state()
         plan = self.plan(strategy, budget, extra_elements, cancel_token)
-        started = time.perf_counter()
-        if isinstance(plan, GuardedPlan):
-            outcome = plan.run(formula, state)
-            answer = outcome.answer
-            admitted = outcome.admitted_query
-            verdict = outcome.verdict
-            rewritten = outcome.rewritten
-        else:
-            answer = plan.execute(formula, state)
-            admitted = formula
-            verdict = None
-            rewritten = False
-        elapsed = time.perf_counter() - started
-        return QueryResult(
-            formula=formula,
-            plan=plan,
-            answer=answer,
-            admitted_query=admitted,
-            verdict=verdict,
-            rewritten=rewritten,
-            elapsed=elapsed,
-        )
+        result = plan.run(formula, state)
+        return replace(result, elapsed=time.perf_counter() - started)
 
     def query(
         self,

@@ -15,9 +15,9 @@ from .plans import (
     ActiveDomainPlan,
     AlgebraPlan,
     EnumerationPlan,
-    GuardedOutcome,
     GuardedPlan,
     Plan,
+    QueryResult,
     plan_for_strategy,
 )
 
@@ -26,7 +26,7 @@ __all__ = [
     "Budget", "BudgetClock",
     "Plan", "ActiveDomainPlan", "AlgebraPlan", "EnumerationPlan",
     "AnswerCache", "AnswerCacheInfo",
-    "GuardedPlan", "GuardedOutcome", "plan_for_strategy", "STRATEGIES",
+    "GuardedPlan", "QueryResult", "plan_for_strategy", "STRATEGIES",
     "STRATEGY_RUNGS",
     "PlanCache", "PlanCacheInfo",
     "answer_by_enumeration", "enumerate_tuples",

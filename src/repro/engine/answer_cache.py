@@ -16,8 +16,8 @@ answers for.  A repeat query then costs:
   execution, replacing the entry.
 
 Which of the three happened — and why — is reported as a decision string that
-the incremental rung of :class:`~repro.engine.plans.AlgebraPlan` surfaces in
-``explain()``.
+the incremental rung of :class:`~repro.engine.plans.AlgebraPlan` notes on the
+run's :class:`~repro.engine.plans.QueryResult`.
 
 Keying on the 64-bit mixed fingerprint (not the full state) keeps hits O(1);
 the standard birthday argument makes a collision across a cache of dozens of
@@ -110,8 +110,8 @@ class AnswerCache:
 
         The decision string says whether the answer was served from cache,
         delta-maintained (and at what cost), or recomputed in full (and
-        why) — :class:`~repro.engine.plans.AlgebraPlan` surfaces
-        it verbatim in ``explain()``.
+        why) — :class:`~repro.engine.plans.AlgebraPlan` notes it
+        verbatim on the run's ``QueryResult``.
 
         A ``deadline`` is threaded into both maintenance and materialising
         executions.  An interrupted maintenance leaves the materialisation

@@ -13,7 +13,7 @@ Classic three-state circuit breaker, per substrate name:
 * **closed** — normal operation; faults increment a counter, a success
   resets it;
 * **open** — the counter reached ``threshold``: :meth:`allow` answers False
-  (plans skip the substrate, recording the demotion in ``explain()``) until
+  (plans skip the substrate, recording the demotion as the run's fallback) until
   ``cooldown`` seconds have passed;
 * **half-open** — the cooldown elapsed: the next :meth:`allow` admits a
   recovery probe.  A success closes the breaker; a fault reopens it for

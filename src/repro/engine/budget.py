@@ -114,7 +114,7 @@ class EvaluationInterrupted(RuntimeError):
 
     Carries the operator (or loop label) the execution had reached and the
     partial statistics object the substrate was filling when the checkpoint
-    fired — surfaced by ``Plan.explain()`` and the serving layer's error
+    fired — surfaced by :meth:`describe` and the serving layer's error
     bodies, so an aborted query still says how far it got.
     """
 
@@ -130,7 +130,7 @@ class EvaluationInterrupted(RuntimeError):
         self.stats = stats
 
     def describe(self) -> str:
-        """One line for ``explain()``: what stopped the run, and where."""
+        """One line: what stopped the run, and where."""
         text = str(self)
         if self.operator:
             text += f" (reached operator {self.operator})"

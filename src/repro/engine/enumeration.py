@@ -29,7 +29,7 @@ exhausting it falls back to the blind dovetail, preserving the original
 algorithm's guarantees while collapsing its ``max_candidates`` pressure on
 decidable ordered domains.  A :class:`CandidateStats` records which
 generator ran and how many candidates were decision-tested
-(``EnumerationPlan.explain()`` surfaces it).
+(the run's ``QueryResult.explain()`` surfaces it).
 """
 
 from __future__ import annotations

@@ -30,15 +30,19 @@ vectorized   vectorized → compiled
 parallel     parallel → vectorized → compiled
 incremental  incremental → compiled
 
-Every plan carries an :meth:`~Plan.explain` describing *why* the strategy was
-chosen (theory decidability, availability of a safety decider, explicit user
-request), so the choice is auditable rather than buried in a string flag.
+A plan is an immutable description: :meth:`Plan.run` returns a frozen
+:class:`QueryResult` holding the answer and what that one run did (the
+fallback taken, the compiled plan's census, narrowing/candidate/morsel/
+answer-cache notes), so one plan object can serve many runs and threads.
+:meth:`Plan.explain` states only *why* the strategy was chosen (theory
+decidability, availability of a safety decider, explicit user request);
+:meth:`QueryResult.explain` adds what the run did.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -68,6 +72,7 @@ from .plan_cache import PlanCache
 
 __all__ = [
     "Plan",
+    "QueryResult",
     "ActiveDomainPlan",
     "AlgebraPlan",
     "Rung",
@@ -75,7 +80,6 @@ __all__ = [
     "STRATEGY_RUNGS",
     "EnumerationPlan",
     "GuardedPlan",
-    "GuardedOutcome",
     "plan_for_strategy",
     "decide_or_semidecide",
     "STRATEGIES",
@@ -115,17 +119,69 @@ STRATEGIES = (
 )
 
 
+@dataclass(frozen=True)
+class QueryResult:
+    """A full pipeline trace: formula, plan, answer, guard decisions, and
+    what this one run did."""
+
+    formula: Formula
+    plan: "Plan"
+    answer: Answer
+    admitted_query: Formula
+    verdict: Optional[SafetyVerdict] = None
+    rewritten: bool = False
+    #: wall-clock seconds, compile through answer (set by ``Session.run``;
+    #: 0.0 from a bare :meth:`Plan.run`)
+    elapsed: float = 0.0
+    #: why the top rung of an algebra ladder did not answer, and what did
+    fallback: Optional[str] = None
+    #: operator census (plus optimizer notes) of the compiled algebra plan
+    plan_summary: Optional[str] = None
+    #: quantifier-range narrowing, candidate generation, morsel accounting
+    #: or the answer-cache decision of this run
+    notes: Tuple[str, ...] = ()
+
+    def explain_plan(self) -> str:
+        """The plan's choice plus what this run did (``/query``'s ``"plan"``)."""
+        text = self.plan.explain()
+        if self.plan_summary:
+            text += f"; compiled plan: {self.plan_summary}"
+        if self.fallback:
+            text += "; fell back: " + self.fallback
+        for note in self.notes:
+            text += "; " + note
+        return text
+
+    def explain(self) -> str:
+        lines = [self.explain_plan(), self.answer.explain()]
+        if self.rewritten:
+            lines.append("the query was rewritten into the effective syntax")
+        if self.verdict is not None:
+            lines.append(
+                f"safety verdict: {self.verdict.status.value} via {self.verdict.method}"
+            )
+        lines.append(f"elapsed: {self.elapsed * 1000:.2f} ms")
+        return "\n".join(lines)
+
+
 class Plan(ABC):
     """An executable query-evaluation strategy."""
 
     #: short machine-readable strategy name
     strategy: str = "plan"
-    #: how the last execution was interrupted (deadline/cancel), if it was
-    last_interruption: Optional[str] = None
 
     @abstractmethod
+    def run(self, query: Formula, state: DatabaseState) -> QueryResult:
+        """Run the plan on ``query`` in ``state``: the answer plus what the run did.
+
+        A deadline or cancellation raises
+        :class:`~repro.engine.budget.EvaluationInterrupted`, whose
+        ``describe()`` names where the run stopped.
+        """
+
     def execute(self, query: Formula, state: DatabaseState) -> Answer:
-        """Run the plan on ``query`` in ``state``."""
+        """Run the plan on ``query`` in ``state``; just the answer."""
+        return self.run(query, state).answer
 
     def _start_deadline(self) -> Optional[Deadline]:
         """The cooperative deadline for one execution, or ``None``.
@@ -140,21 +196,17 @@ class Plan(ABC):
             return None
         return budget.start_deadline(token)
 
-    def _record_interruption(self, error: EvaluationInterrupted) -> None:
-        self.last_interruption = error.describe()
-
     def explain(self) -> str:
-        """Why this strategy was chosen, and what it will do."""
+        """Why this strategy was chosen, and what it will do (what one run
+        did is on its :class:`QueryResult`)."""
         reason = getattr(self, "reason", "")
         text = f"strategy {self.strategy!r}"
         if reason:
             text += f": {reason}"
-        if self.last_interruption:
-            text += f"; interrupted: {self.last_interruption}"
         return text
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ActiveDomainPlan(Plan):
     """Evaluate under active-domain semantics (always finite by construction).
 
@@ -162,7 +214,8 @@ class ActiveDomainPlan(Plan):
     quantifier's candidate range to the interval union inferred by the
     shared bound analysis (:mod:`repro.relational.bounds`) — bisected over
     the value-sorted active domain — instead of iterating the full domain
-    per quantifier; :meth:`explain` reports what the narrowing did.
+    per quantifier; the run's :class:`QueryResult` notes what the narrowing
+    did.
     """
 
     domain: Domain
@@ -171,45 +224,36 @@ class ActiveDomainPlan(Plan):
     reason: str = "active-domain semantics keeps every answer finite by construction"
     #: cooperative cancellation flag checked at the walker's checkpoints
     cancel_token: Optional[CancelToken] = None
-    #: what quantifier-range narrowing did during the last execution
-    last_narrowing: Optional[str] = None
 
     strategy = "active-domain"
 
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
+    def run(self, query: Formula, state: DatabaseState) -> QueryResult:
         stats = NarrowingStats()
-        self.last_interruption = None
-        try:
-            relation = evaluate_query_active_domain(
-                query,
-                state,
-                interpretation=self.domain,
-                extra_elements=self.extra_elements,
-                stats=stats,
-                deadline=self._start_deadline(),
-            )
-        except EvaluationInterrupted as error:
-            self._record_interruption(error)
-            raise
-        self.last_narrowing = stats.describe() if stats.enabled else None
-        return FiniteAnswer(relation, method="active-domain")
-
-    def explain(self) -> str:
-        text = super().explain()
-        if self.last_narrowing:
-            text += "; " + self.last_narrowing
-        return text
+        relation = evaluate_query_active_domain(
+            query,
+            state,
+            interpretation=self.domain,
+            extra_elements=self.extra_elements,
+            stats=stats,
+            deadline=self._start_deadline(),
+        )
+        return QueryResult(
+            query, self, FiniteAnswer(relation, method="active-domain"), query,
+            notes=(stats.describe(),) if stats.enabled else (),
+        )
 
 
 @dataclass
 class _Job:
-    """One algebra execution's inputs, shared by every rung it visits."""
+    """One algebra execution: its inputs, shared by every rung it visits,
+    and the notes the answering rung leaves for the run's result."""
 
     plan: "AlgebraPlan"
     query: Formula
     compiled: CompiledQuery
     state: DatabaseState
     deadline: Optional[Deadline]
+    notes: List[str] = field(default_factory=list)
 
     @cached_property
     def universe(self) -> List[Element]:
@@ -242,7 +286,7 @@ def _run_parallel(job: _Job) -> Relation:
         stats=stats,
         deadline=job.deadline,
     )
-    job.plan.last_morsels = stats.describe()
+    job.notes.append("morsels: " + stats.describe())
     return Relation(len(job.compiled.output), rows)
 
 
@@ -262,9 +306,10 @@ def _run_incremental(job: _Job) -> Relation:
     plan = job.plan
     assert plan.answer_cache is not None  # else _no_answer_cache skipped the rung
     key = (job.query, job.state.schema, plan.domain.name, plan.extra_elements)
-    rows, plan.last_decision = plan.answer_cache.answer(
+    rows, decision = plan.answer_cache.answer(
         key, job.compiled, job.state, plan.extra_elements, plan.domain, job.deadline
     )
+    job.notes.append("answer-cache decision: " + decision)
     return Relation(len(job.compiled.output), rows)
 
 
@@ -324,7 +369,7 @@ STRATEGY_RUNGS: Dict[str, Tuple[str, ...]] = {
 _TREE_WALKER_INSTEAD = "answered by the tree-walking active-domain evaluator instead"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AlgebraPlan(Plan):
     """Compile to relational algebra and answer on the first rung that can.
 
@@ -349,8 +394,8 @@ class AlgebraPlan(Plan):
 
     The two columnar rungs are demoted by the failure breaker while it is
     open.  When compilation itself bails (function symbols, exotic terms),
-    or every rung steps aside, the tree walker answers.  ``fallback_reason``
-    and :meth:`explain` record why the top rung did not answer.
+    or every rung steps aside, the tree walker answers.  The run's
+    :attr:`QueryResult.fallback` records why the top rung did not answer.
     """
 
     domain: Domain
@@ -375,14 +420,6 @@ class AlgebraPlan(Plan):
     morsel_rows: int = DEFAULT_MORSEL_ROWS
     #: total input rows (stored + active domain) below which the pool is skipped
     parallel_threshold: int = 2048
-    #: why the last execution did not answer on the top rung, if it did not
-    fallback_reason: Optional[str] = None
-    #: operator census of the last compiled plan, for explain()
-    last_summary: Optional[str] = None
-    #: morsel/merge accounting of the last parallel execution
-    last_morsels: Optional[str] = None
-    #: what the answer cache did on the last execution, and why
-    last_decision: Optional[str] = None
 
     def __post_init__(self) -> None:
         unknown = [name for name in self.rungs if name not in RUNGS]
@@ -396,27 +433,14 @@ class AlgebraPlan(Plan):
     def strategy(self) -> str:  # type: ignore[override]
         return RUNGS[self.rungs[0]].method
 
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
-        self.last_interruption = None
-        self.last_morsels = None
-        self.last_decision = None
-        deadline = self._start_deadline()
-        try:
-            return self._climb(query, state, deadline)
-        except EvaluationInterrupted as error:
-            self._record_interruption(error)
-            raise
-
-    def _climb(
-        self, query: Formula, state: DatabaseState, deadline: Optional[Deadline]
-    ) -> Answer:
+    def run(self, query: Formula, state: DatabaseState) -> QueryResult:
         """Walk the ladder: the one place rungs are skipped, tried and demoted."""
+        deadline = self._start_deadline()
         try:
             compiled, obstacle = self._compiled(query, state)
         except CompilationError as error:
-            self.last_summary = None
             return self._tree_walk(query, state, deadline, str(error))
-        self.last_summary = compiled.summary()
+        summary = compiled.summary()
         job = _Job(self, query, compiled, state, deadline)
         breaker = self._breaker()
         skipped: Optional[str] = None
@@ -455,11 +479,13 @@ class AlgebraPlan(Plan):
                 continue
             if rung.demotable:
                 breaker.record_success(name)
-            self.fallback_reason = (
-                None if skipped is None else f"{skipped}; {rung.instead}"
+            return QueryResult(
+                query, self, FiniteAnswer(relation, method=rung.method), query,
+                fallback=None if skipped is None else f"{skipped}; {rung.instead}",
+                plan_summary=summary,
+                notes=tuple(job.notes),
             )
-            return FiniteAnswer(relation, method=rung.method)
-        return self._tree_walk(query, state, deadline, skipped)
+        return self._tree_walk(query, state, deadline, skipped, summary)
 
     def _tree_walk(
         self,
@@ -467,9 +493,9 @@ class AlgebraPlan(Plan):
         state: DatabaseState,
         deadline: Optional[Deadline],
         why: Optional[str],
-    ) -> Answer:
+        summary: Optional[str] = None,
+    ) -> QueryResult:
         """The floor under every ladder: tuple-at-a-time tree walking."""
-        self.fallback_reason = f"{why}; {_TREE_WALKER_INSTEAD}"
         relation = evaluate_query_active_domain(
             query,
             state,
@@ -477,7 +503,11 @@ class AlgebraPlan(Plan):
             extra_elements=self.extra_elements,
             deadline=deadline,
         )
-        return FiniteAnswer(relation, method="active-domain")
+        return QueryResult(
+            query, self, FiniteAnswer(relation, method="active-domain"), query,
+            fallback=f"{why}; {_TREE_WALKER_INSTEAD}",
+            plan_summary=summary,
+        )
 
     def _breaker(self) -> SubstrateBreaker:
         return self.breaker if self.breaker is not None else default_breaker()
@@ -507,14 +537,7 @@ class AlgebraPlan(Plan):
         return cached
 
     def explain(self) -> str:
-        text = f"strategy {self.strategy!r}: {self.reason}"
-        if self.last_summary:
-            text += f" (last plan: {self.last_summary})"
-        text += "; ladder " + " → ".join(self.rungs)
-        if self.fallback_reason:
-            text += "; fell back: " + self.fallback_reason
-        if self.last_interruption:
-            text += f"; interrupted: {self.last_interruption}"
+        text = super().explain() + "; ladder " + " → ".join(self.rungs)
         breaker = self._breaker()
         for name in self.rungs:
             if RUNGS[name].demotable and breaker.state(name) != "closed":
@@ -523,16 +546,12 @@ class AlgebraPlan(Plan):
             text += f"; plan cache {self.cache.info()}"
         if HAVE_NUMPY and any(RUNGS[name].columnar for name in self.rungs):
             text += f"; encode cache {encode_cache_info()}"
-        if self.last_morsels:
-            text += "; morsels: " + self.last_morsels
         if "incremental" in self.rungs and self.answer_cache is not None:
             text += f"; answer cache {self.answer_cache.info()}"
-        if self.last_decision:
-            text += f"; last answer: {self.last_decision}"
         return text
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EnumerationPlan(Plan):
     """Run the Section 1.1 enumeration algorithm (needs a decidable theory).
 
@@ -540,8 +559,8 @@ class EnumerationPlan(Plan):
     intersected with the inferred interval bounds of the free variables
     (:mod:`repro.relational.bounds`), so on decidable ordered domains the
     number of decision-procedure calls is bounded by the compiled answer
-    instead of ``max_candidates``; :meth:`explain` reports which generator
-    ran and how many candidates it tested.
+    instead of ``max_candidates``; the run's :class:`QueryResult` notes
+    which generator ran and how many candidates it tested.
     """
 
     domain: Domain
@@ -549,12 +568,10 @@ class EnumerationPlan(Plan):
     reason: str = "the enumeration algorithm answers any finite query exactly"
     #: cooperative cancellation flag (time expiry stays an UnknownAnswer)
     cancel_token: Optional[CancelToken] = None
-    #: candidate-generator report of the last execution
-    last_candidates: Optional[str] = None
 
     strategy = "enumeration"
 
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
+    def run(self, query: Formula, state: DatabaseState) -> QueryResult:
         if not self.domain.has_decidable_theory:
             raise TheoryUndecidableError(
                 f"domain {self.domain.name!r} has no decision procedure; "
@@ -563,33 +580,11 @@ class EnumerationPlan(Plan):
         from .enumeration import CandidateStats, answer_by_enumeration
 
         stats = CandidateStats()
-        self.last_interruption = None
-        try:
-            answer = answer_by_enumeration(
-                query, state, self.domain, budget=self.budget, stats=stats,
-                deadline=self._start_deadline(),
-            )
-        except EvaluationInterrupted as error:
-            self._record_interruption(error)
-            raise
-        self.last_candidates = stats.describe()
-        return answer
-
-    def explain(self) -> str:
-        text = super().explain()
-        if self.last_candidates:
-            text += "; " + self.last_candidates
-        return text
-
-
-@dataclass(frozen=True)
-class GuardedOutcome:
-    """What a guarded execution did: the answer plus the guard's decisions."""
-
-    answer: Answer
-    admitted_query: Formula
-    verdict: Optional[SafetyVerdict] = None
-    rewritten: bool = False
+        answer = answer_by_enumeration(
+            query, state, self.domain, budget=self.budget, stats=stats,
+            deadline=self._start_deadline(),
+        )
+        return QueryResult(query, self, answer, query, notes=(stats.describe(),))
 
 
 @dataclass(frozen=True)
@@ -608,8 +603,7 @@ class GuardedPlan(Plan):
     def budget(self) -> Budget:
         return getattr(self.inner, "budget", Budget())
 
-    def run(self, query: Formula, state: DatabaseState) -> GuardedOutcome:
-        """Execute with full guard metadata (verdict, rewriting)."""
+    def run(self, query: Formula, state: DatabaseState) -> QueryResult:
         admitted = query
         rewritten = False
         if self.syntax is not None and not self.syntax.contains(query):
@@ -626,12 +620,12 @@ class GuardedPlan(Plan):
                     reason="rejected by the relative-safety guard: " + verdict.details,
                     method=verdict.method,
                 )
-                return GuardedOutcome(answer, admitted, verdict, rewritten)
+                return QueryResult(query, self, answer, admitted, verdict, rewritten)
 
-        return GuardedOutcome(self.inner.execute(admitted, state), admitted, verdict, rewritten)
-
-    def execute(self, query: Formula, state: DatabaseState) -> Answer:
-        return self.run(query, state).answer
+        return replace(
+            self.inner.run(admitted, state),
+            formula=query, plan=self, verdict=verdict, rewritten=rewritten,
+        )
 
     def explain(self) -> str:
         guards = []

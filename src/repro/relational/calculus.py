@@ -24,7 +24,7 @@ comparison literals, located by bisection over the value-sorted universe.
 Narrowing is an over-approximation of the satisfying values, so it never
 changes an answer — it only skips candidates that provably fail — and a
 :class:`~repro.relational.bounds.NarrowingStats` records what it did for
-``Plan.explain()``.
+``QueryResult.explain()``.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def evaluate_query_active_domain(
     runs (observable as ``stats.enabled`` staying ``False``); ``False``
     forces the full-universe walker unconditionally.  Pass a
     :class:`~repro.relational.bounds.NarrowingStats` to observe what the
-    narrower did (surfaced by ``ActiveDomainPlan.explain()``).
+    narrower did (surfaced by ``QueryResult.explain()``).
     """
     universe = set(active_domain(state, query)) | set(extra_elements)
     ordered_universe = sorted(universe, key=repr)

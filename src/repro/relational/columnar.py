@@ -34,7 +34,7 @@ partial: domain-predicate filters (``x < y``) vectorize only when the carrier
 is numeric (codes *are* values) and the predicate is one of the standard
 integer comparisons; anything else raises :class:`VectorizationError` and the
 caller — :class:`repro.engine.plans.AlgebraPlan` — falls back to the set
-executor, recording the reason in ``explain()``.  NumPy itself is a
+executor, recording the reason as the run's fallback.  NumPy itself is a
 soft dependency: without it every plan falls back the same way.
 
 Doctest — a vectorized scan-and-join, equal to the set executor's answer:

@@ -40,7 +40,7 @@ pruning through :mod:`repro.relational.bounds`.
 
 The rewrites it performed are returned as human-readable notes, which
 :meth:`repro.relational.compile.CompiledQuery.summary` (and therefore
-``Plan.explain()``) surface for debuggability.
+``QueryResult.explain()``) surface for debuggability.
 
 Doctest — the between-two-members shape reduces to a single range scan
 whose bounds aggregate the two witness scans (``min S < x < max S``):

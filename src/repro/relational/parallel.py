@@ -234,7 +234,7 @@ class StageMergeStats:
 
 @dataclass
 class MorselStats:
-    """Per-run morsel accounting, surfaced by ``AlgebraPlan.explain()``.
+    """Per-run morsel accounting, surfaced by ``QueryResult.explain()``.
 
     >>> stats = MorselStats(workers=4, morsel_rows=1000)
     >>> stats.record("join", morsels=3, rows_in=2500, rows_out=900)

@@ -448,7 +448,7 @@ class QueryServer:
             "is_finite": result.answer.is_finite,
             "row_count": len(rows),
             "elapsed_ms": round(result.elapsed * 1000, 3),
-            "plan": result.plan.explain(),
+            "plan": result.explain_plan(),
             "rewritten": result.rewritten,
             "verdict": None if result.verdict is None else result.verdict.status.value,
         }

@@ -1,5 +1,7 @@
 """Tests for the unified Session API: connect → compile → plan → execute."""
 
+import time
+
 import pytest
 
 import repro
@@ -153,6 +155,25 @@ def test_connect_query_answer_end_to_end(name):
     assert result.answer.explain()
     assert result.plan.explain()
     assert result.elapsed >= 0.0
+
+
+def test_elapsed_times_the_whole_pipeline(monkeypatch):
+    compile_ = Session.compile
+
+    def slow_compile(self, query):
+        time.sleep(0.02)
+        return compile_(self, query)
+
+    monkeypatch.setattr(Session, "compile", slow_compile)
+    result = connect("eq", family_schema()).run("F(x, y)", family_state(1))
+    assert result.elapsed >= 0.02
+
+
+def test_query_result_is_importable_from_every_public_layer():
+    from repro.api.session import QueryResult as session_result
+    from repro.engine import QueryResult as engine_result
+
+    assert repro.QueryResult is repro.api.QueryResult is session_result is engine_result
 
 
 # ---------------------------------------------------------------------------

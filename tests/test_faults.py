@@ -166,10 +166,11 @@ def test_injected_kernel_fault_falls_back_to_the_set_executor():
     )
     query = parse_formula("F(x, y)")
     with inject(FaultPlan([FaultSpec("kernel-entry", "exception")])):
-        answer = plan.execute(query, state)
+        result = plan.run(query, state)
+    answer = result.answer
     assert frozenset(answer.relation.rows) == frozenset({(1, 2), (2, 3), (3, 4)})
     assert answer.method == "compiled-algebra"  # the rung below caught it
-    assert "faulted" in (plan.fallback_reason or "")
+    assert "faulted" in (result.fallback or "")
     assert breaker.snapshot()["substrates"]["vectorized"]["total_faults"] == 1
 
 
@@ -192,9 +193,9 @@ def test_repeated_faults_demote_the_substrate_until_cooldown():
             assert frozenset(answer.relation.rows) == expected
         assert breaker.state("parallel") == "open"
         # demoted: the pool is skipped up front, and explain says so
-        answer = plan.execute(query, state)
-        assert frozenset(answer.relation.rows) == expected
-        assert "breaker" in (plan.fallback_reason or "")
+        result = plan.run(query, state)
+        assert frozenset(result.answer.relation.rows) == expected
+        assert "breaker" in (result.fallback or "")
         assert "parallel breaker" in plan.explain()
 
 

@@ -130,10 +130,10 @@ def test_compiled_strategy_is_explicitly_requestable():
     plan = session.plan("compiled")
     assert isinstance(plan, AlgebraPlan) and plan.rungs == STRATEGY_RUNGS["compiled"]
     state = family_state(generations=1)
-    answer = session.execute(plan, "F(x, y)", state)
-    assert answer.method == "compiled-algebra"
+    result = session.run("F(x, y)", state, strategy="compiled")
+    assert result.answer.method == "compiled-algebra"
     assert "compiled-algebra" in plan.explain()
-    assert plan.last_summary is not None
+    assert result.plan_summary is not None
 
 
 def test_plan_for_strategy_builds_a_compiled_plan_without_a_cache():
@@ -150,15 +150,17 @@ def test_unsupported_domains_keep_the_tree_walker_for_guarded_auto():
     assert not isinstance(getattr(plan, "inner", plan), AlgebraPlan)
 
 
-def test_fallback_reason_is_recorded_and_cleared():
+def test_fallback_is_reported_per_run():
     session = connect("succ", family_schema())
     plan = session.plan("compiled")
     state = session.state(F=[(0, 1)])
-    session.execute(plan, "exists y. (F(x, y) & x = succ(y))", state)
-    assert plan.fallback_reason is not None
-    assert "fell back" in plan.explain()
-    session.execute(plan, "F(x, y)", state)
-    assert plan.fallback_reason is None
+    fell = plan.run(session.compile("exists y. (F(x, y) & x = succ(y))"), state)
+    assert fell.fallback is not None
+    assert "fell back" in fell.explain()
+    assert "fell back" not in plan.explain()
+    clean = plan.run(session.compile("F(x, y)"), state)
+    assert clean.fallback is None
+    assert fell.fallback is not None
 
 
 def test_plan_cache_size_is_configurable_per_session():

@@ -273,13 +273,13 @@ def test_property_pack_corpora_three_way(pack_name, seed):
                     AlgebraPlan(domain=domain, extra_elements=extras),
                     AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=domain, extra_elements=extras),
                 ):
-                    answer = plan.execute(pq.query, state)
-                    assert set(answer.rows()) == expected.rows, (
+                    result = plan.run(pq.query, state)
+                    assert set(result.answer.rows()) == expected.rows, (
                         f"{plan.strategy} disagrees with the tree walker on "
                         f"{pack_name}/{corpus.name}/{pq.name}"
                     )
-                    if plan.fallback_reason is not None:
-                        assert "fell back" in plan.explain()
+                    if result.fallback is not None:
+                        assert "fell back" in result.explain()
                     checked += 1
     assert checked > 0
 
@@ -310,10 +310,10 @@ def test_succ_terms_fall_back_to_the_tree_walker():
     state = numeric_state([2, 3])  # succ(2) = 3 is in the active domain
     expected = evaluate_query_active_domain(query, state, interpretation=SUCCESSOR)
     plan = AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=SUCCESSOR)
-    answer = plan.execute(query, state)
-    assert set(answer.rows()) == expected.rows == {(3,)}
-    assert answer.method == "active-domain"
-    assert "fell back" in plan.explain()
+    result = plan.run(query, state)
+    assert set(result.answer.rows()) == expected.rows == {(3,)}
+    assert result.answer.method == "active-domain"
+    assert "fell back" in result.explain()
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +344,9 @@ def test_explicit_vectorized_strategy_reports_and_answers():
     plan = session.plan("vectorized")
     assert isinstance(plan, AlgebraPlan)
     state = family_state(generations=2)
-    answer = session.execute(plan, "F(x, y)", state)
-    assert answer.method == "vectorized"
-    assert plan.fallback_reason is None
+    result = session.run("F(x, y)", state, strategy="vectorized")
+    assert result.answer.method == "vectorized"
+    assert result.fallback is None
     assert "strategy 'vectorized'" in plan.explain()
 
 
@@ -366,14 +366,14 @@ def test_plan_cache_entry_is_shared_by_compiled_and_vectorized_substrates():
 def test_traces_fallback_is_recorded_in_explain():
     schema = DatabaseSchema((RelationSchema("W", 1, ("word",)),))
     session = connect("traces", schema)
-    plan = session.plan("vectorized")
     state = session.state(W=[("1",), ("11",)])
-    answer = session.execute(plan, "W(x) & P(x, x, x)", state)
+    result = session.run("W(x) & P(x, x, x)", state, strategy="vectorized")
+    answer = result.answer
     # The trace-domain predicate P has no vectorized kernel: execution falls
     # back to the set-at-a-time executor and explains itself.
     assert answer.method == "compiled-algebra"
-    assert "P" in plan.fallback_reason
-    assert "fell back" in plan.explain()
+    assert "P" in result.fallback
+    assert "fell back" in result.explain()
     # The answer still matches the tree walker.
     expected = evaluate_query_active_domain(
         session.compile("W(x) & P(x, x, x)"), state, interpretation=session.domain
@@ -390,10 +390,10 @@ def test_missing_numpy_falls_back_to_set_executor(monkeypatch):
     assert vectorization_obstacle(AdomScan(("x",))) == "numpy is not installed"
     plan = AlgebraPlan(rungs=STRATEGY_RUNGS["vectorized"], domain=EQ)
     state = family_state(generations=2)
-    answer = plan.execute(parse_formula("F(x, y)"), state)
-    assert answer.method == "compiled-algebra"
-    assert "numpy is not installed" in plan.fallback_reason
-    assert set(answer.rows()) == state["F"].rows
+    result = plan.run(parse_formula("F(x, y)"), state)
+    assert result.answer.method == "compiled-algebra"
+    assert "numpy is not installed" in result.fallback
+    assert set(result.answer.rows()) == state["F"].rows
 
 
 def test_vectorized_plan_respects_extra_elements():

@@ -271,10 +271,10 @@ def test_property_successor_corpus_via_plan_fallback(seed, name, query):
     state = numeric_state(values)
     expected = evaluate_query_active_domain(query, state, interpretation=SUCCESSOR)
     plan = AlgebraPlan(domain=SUCCESSOR)
-    answer = plan.execute(query, state)
-    assert set(answer.rows()) == expected.rows
-    if plan.fallback_reason is not None:
-        assert "algebra" in plan.fallback_reason
-        assert "fell back" in plan.explain()
+    result = plan.run(query, state)
+    assert set(result.answer.rows()) == expected.rows
+    if result.fallback is not None:
+        assert "algebra" in result.fallback
+        assert "fell back" in result.explain()
     else:
-        assert answer.method == "compiled-algebra"
+        assert result.answer.method == "compiled-algebra"

@@ -486,17 +486,14 @@ def test_incremental_strategy_is_registered():
     assert plan.strategy == "incremental"
 
 
-def test_incremental_plan_records_decisions_in_explain():
+def test_incremental_run_records_decisions_in_explain():
     plan = plan_for_strategy("incremental", EQ)
     query = parse_formula("F(x, y)")
     state = _state([(1, 2)])
-    plan.execute(query, state)
-    assert "answer cache miss" in plan.explain()
-    plan.execute(query, state)
-    assert "answer cache hit" in plan.explain()
+    assert "answer cache miss" in plan.run(query, state).explain()
+    assert "answer cache hit" in plan.run(query, state).explain()
     mutated = state.apply(Delta.insert("F", (4, 5)))
-    plan.execute(query, mutated)
-    assert "delta-maintained" in plan.explain()
+    assert "delta-maintained" in plan.run(query, mutated).explain()
 
 
 def test_incremental_plan_shares_compiled_plan_cache_entries():
@@ -527,7 +524,7 @@ def test_incremental_session_end_to_end():
     assert mutated.version == 1
     second = session.run(query, mutated)
     assert set(second.answer.rows()) == {(1, 3), (2, 4)}
-    assert "delta-maintained" in second.plan.explain()
+    assert "delta-maintained" in second.explain()
 
     info = session.answer_cache_info()
     assert info.maintained == 1 and info.misses == 1

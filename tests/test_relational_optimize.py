@@ -196,16 +196,16 @@ def test_pad_elimination_keeps_empty_adom_semantics():
     assert run_plan(rewritten, state, [7], EQ) == {(1,)}
 
 
-def test_optimizer_notes_reach_plan_explain():
+def test_optimizer_notes_reach_result_explain():
     session = connect("nat<", numeric_state([]).schema)
     plan = session.plan("compiled")
     # Active-domain semantics: only stored elements strictly between two
     # other stored elements qualify.
     state = numeric_state([1, 5, 9])
-    answer = plan.execute(BETWEEN, state)
-    assert answer.rows() == ((5,),)
-    assert "optimizer:" in plan.explain()
-    assert "interval join" in plan.explain()
+    result = plan.run(BETWEEN, state)
+    assert result.answer.rows() == ((5,),)
+    assert "optimizer:" in result.explain()
+    assert "interval join" in result.plan_summary
 
 
 def test_plan_summary_counts_interval_operators():

@@ -15,14 +15,17 @@ Four layers:
   file);
 * the :class:`~repro.engine.plans.AlgebraPlan` parallel fallback ladder
   (parallel → vectorized → set executor → tree walker), its size
-  heuristic, its ``explain()`` morsel stats, and the ``"parallel"``
-  plan-cache substrate key;
+  heuristic, the morsel stats a run reports, run facts that never leak into
+  the plan or across concurrent runs, and the plan-cache entry shared with
+  the vectorized rung;
 * serve-layer wiring: the ``morsel_workers`` policy knob and the
   ``parallel`` section of ``SessionManager.stats()``.
 """
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +36,8 @@ from repro.domains import available_packs, get_pack
 from repro.domains.equality import EqualityDomain
 from repro.domains.presburger import PresburgerDomain
 from repro.domains.successor import SuccessorDomain
+from repro.engine.breaker import SubstrateBreaker
+from repro.engine.budget import Cancelled
 from repro.engine.plans import (
     STRATEGIES,
     STRATEGY_RUNGS,
@@ -298,26 +303,91 @@ def test_auto_prefers_parallel_plan_for_equality():
 
 def test_small_states_skip_the_pool():
     session = connect("eq", family_schema())
-    plan = session.plan("parallel")
     state = family_state(generations=2)
-    answer = session.execute(plan, "F(x, y)", state)
+    result = session.run("F(x, y)", state, strategy="parallel")
     # Below the size threshold the plan answers single-threaded.
-    assert answer.method == "vectorized"
-    assert "too small" in plan.fallback_reason
-    assert plan.last_morsels is None
+    assert result.answer.method == "vectorized"
+    assert "too small" in result.fallback
+    assert "morsels:" not in result.explain()
+
+
+class _RearmableToken:
+    """A cancel token the test can trip and re-arm (``CancelToken`` is one-shot)."""
+
+    cancelled = False
+    reason = "cancelled by the test"
+
+
+def test_runs_never_leak_facts_into_the_plan_or_each_other(monkeypatch):
+    import repro.engine.plans as plans_module
+
+    # The encode-cache counters are process-wide and move with every
+    # columnar run; pin them so only what the plan itself reports compares.
+    monkeypatch.setattr(plans_module, "encode_cache_info", lambda: "(pinned)")
+    token = _RearmableToken()
+    plan = plan_for_strategy(
+        "parallel", EqualityDomain(), cancel_token=token, breaker=SubstrateBreaker()
+    )
+    before = plan.explain()
+    query = parse_formula("F(x, y)")
+
+    small = plan.run(query, family_state(generations=2))
+    assert small.answer.method == "vectorized"
+    assert "state too small for the pool (13 < 2048 rows)" in small.fallback
+    assert plan.explain() == before
+
+    token.cancelled = True
+    with pytest.raises(Cancelled):
+        plan.run(parse_formula("exists y. (F(x, y) & F(y, z))"), family_state(2))
+    assert plan.explain() == before
+
+    token.cancelled = False
+    large = family_state(generations=10)  # 2046 rows + 2047 elements
+    result = plan.run(query, large)
+    assert result.answer.method == "parallel"
+    assert result.fallback is None
+    assert "fell back" not in result.explain()
+    assert "too small" in small.fallback  # the earlier result is untouched
+    assert plan.explain() == before
+
+
+def test_one_plan_serves_concurrent_runs_with_their_own_facts():
+    plan = AlgebraPlan(
+        domain=EQ, rungs=STRATEGY_RUNGS["parallel"], parallel_threshold=20,
+        breaker=SubstrateBreaker(),
+    )
+    query = parse_formula("F(x, y)")
+    small, large = family_state(generations=2), family_state(generations=3)  # 13, 29 rows
+
+    def runs(offset):
+        for i in range(50):
+            pooled = (i + offset) % 2 == 0
+            result = plan.run(query, large if pooled else small)
+            assert result.answer.method == ("parallel" if pooled else "vectorized")
+            assert (result.fallback is None) == pooled
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(runs, offset) for offset in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_large_states_run_parallel_and_explain_morsels():
     session = connect("eq", family_schema())
-    plan = session.plan("parallel")
-    plan.parallel_threshold = 1  # force the pool even on a small state
-    plan.morsel_rows = 4
+    # threshold 1 forces the pool even on a small state
+    plan = replace(session.plan("parallel"), parallel_threshold=1, morsel_rows=4)
     state = family_state(generations=3)
-    answer = session.execute(plan, "exists y. (F(x, y) & F(y, z))", state)
+    result = plan.run(session.compile("exists y. (F(x, y) & F(y, z))"), state)
+    answer = result.answer
     assert answer.method == "parallel"
-    assert plan.fallback_reason is None
-    assert plan.last_morsels is not None
-    assert "morsels:" in plan.explain()
+    assert result.fallback is None
+    assert any(note.startswith("morsels:") for note in result.notes)
+    assert "morsels:" in result.explain()
+    assert "morsels:" not in plan.explain()
     # The answer matches the explicitly-vectorized plan's.
     vec = session.execute(
         session.plan("vectorized"), "exists y. (F(x, y) & F(y, z))", state
@@ -328,14 +398,13 @@ def test_large_states_run_parallel_and_explain_morsels():
 def test_parallel_plan_falls_back_to_set_executor_on_obstacle():
     schema = DatabaseSchema((RelationSchema("W", 1, ("word",)),))
     session = connect("traces", schema)
-    plan = session.plan("parallel")
     state = session.state(W=[("1",), ("11",)])
-    answer = session.execute(plan, "W(x) & P(x, x, x)", state)
+    result = session.run("W(x) & P(x, x, x)", state, strategy="parallel")
     # The trace-domain predicate P has no vectorized kernel: both the
     # parallel and vectorized rungs are out, so the set executor answers.
-    assert answer.method == "compiled-algebra"
-    assert "P" in plan.fallback_reason
-    assert "fell back" in plan.explain()
+    assert result.answer.method == "compiled-algebra"
+    assert "P" in result.fallback
+    assert "fell back" in result.explain()
 
 
 def test_vectorization_error_on_the_pool_skips_every_columnar_rung(monkeypatch):
@@ -356,25 +425,27 @@ def test_vectorization_error_on_the_pool_skips_every_columnar_rung(monkeypatch):
 
     monkeypatch.setattr(plans_module, "run_plan_parallel", refusing_parallel)
     monkeypatch.setattr(plans_module, "run_plan_vectorized", counting_vectorized)
-    plan = plan_for_strategy("parallel", EqualityDomain())
-    plan.parallel_threshold = 1
+    plan = AlgebraPlan(
+        domain=EqualityDomain(), rungs=STRATEGY_RUNGS["parallel"], parallel_threshold=1
+    )
     state = family_state(generations=2)
-    answer = plan.execute(parse_formula("F(x, y)"), state)
+    result = plan.run(parse_formula("F(x, y)"), state)
+    answer = result.answer
     assert calls == {"parallel": 1, "vectorized": 0}
     assert answer.method == "compiled-algebra"
     assert set(answer.rows()) == state["F"].rows
-    assert "carrier does not encode" in plan.fallback_reason
-    assert "set-at-a-time" in plan.fallback_reason
+    assert "carrier does not encode" in result.fallback
+    assert "set-at-a-time" in result.fallback
 
 
 def test_parallel_plan_falls_back_to_tree_walker_on_compile_error():
     session = connect("succ")
     plan = plan_for_strategy("parallel", SUCCESSOR)
     state = numeric_state([1, 2, 3])
-    answer = plan.execute(parse_formula("exists y. succ(x) = y"), state)
+    result = plan.run(parse_formula("exists y. succ(x) = y"), state)
     # succ-term queries do not compile: the ladder bottoms out at the walker.
-    assert answer.method == "active-domain"
-    assert "tree-walking" in plan.fallback_reason
+    assert result.answer.method == "active-domain"
+    assert "tree-walking" in result.fallback
 
 
 def test_plan_cache_entry_is_shared_by_parallel_and_vectorized_substrates():

@@ -77,6 +77,27 @@ def test_connect_query_explain_roundtrip(served):
     assert status == 200 and closed["closed"] is True
 
 
+def test_query_plan_reports_what_the_run_did(served):
+    port = served.port
+    status, _, connected = request(port, "POST", "/connect", {
+        "domain": "eq", "schema": {"F": 2}, "state": {"F": [[1, 2], [2, 3]]},
+    })
+    assert status == 200
+    payload = {"session": connected["session"], "query": "F(x, y)",
+               "strategy": "parallel"}
+    status, _, answer = request(port, "POST", "/query", payload)
+    assert status == 200
+    assert answer["method"] == "vectorized"
+    # The run's fallback, rendered into "plan" beside the plan's own choice.
+    assert "ladder parallel → vectorized → compiled" in answer["plan"]
+    assert "fell back: state too small for the pool" in answer["plan"]
+    status, _, explanation = request(port, "POST", "/explain", {
+        "session": connected["session"], "query": "F(x, y)", "strategy": "parallel",
+    })
+    assert status == 200
+    assert "fell back" not in explanation["explanation"]
+
+
 def test_per_request_state_overrides_the_default(served):
     port = served.port
     session = connect_nat(port)

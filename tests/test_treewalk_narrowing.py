@@ -131,22 +131,23 @@ def test_narrowing_prunes_the_between_query():
     assert stats.skipped > stats.candidates  # most candidates were pruned
 
 
-def test_active_domain_plan_explain_reports_narrowing():
+def test_active_domain_run_reports_narrowing():
     plan = ActiveDomainPlan(domain=NAT)
     between = dict(
         (name, query) for name, query, _ in ordered_query_corpus()
     )["strictly-between-members"]
-    answer = plan.execute(between, numeric_state([1, 5, 9]))
-    assert answer.rows() == ((5,),)
-    assert "quantifier-range narrowing" in plan.explain()
+    result = plan.run(between, numeric_state([1, 5, 9]))
+    assert result.answer.rows() == ((5,),)
+    assert "quantifier-range narrowing" in result.explain()
+    assert "narrowing" not in plan.explain()
     # an unordered domain reports nothing rather than a stale line
     from repro.domains.equality import EqualityDomain
     from repro.experiments.corpora import family_state
     from repro.experiments.exp01_intro_queries import grandfather_query
 
     eq_plan = ActiveDomainPlan(domain=EqualityDomain())
-    eq_plan.execute(grandfather_query(), family_state(2))
-    assert "narrowing" not in eq_plan.explain()
+    eq_result = eq_plan.run(grandfather_query(), family_state(2))
+    assert "narrowing" not in eq_result.explain()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +262,10 @@ def test_enumeration_falls_back_to_dovetail_when_unbounded():
     assert stats.generator.endswith("dovetail")
 
 
-def test_enumeration_plan_explain_reports_candidates():
+def test_enumeration_run_reports_candidates():
     plan = EnumerationPlan(domain=PresburgerDomain())
-    answer = plan.execute(parse_formula("S(x)"), numeric_state([4, 7]))
-    assert answer.relation.rows == {(4,), (7,)}
-    assert "candidate generator" in plan.explain()
-    assert "decision-tested" in plan.explain()
+    result = plan.run(parse_formula("S(x)"), numeric_state([4, 7]))
+    assert result.answer.relation.rows == {(4,), (7,)}
+    assert "candidate generator" in result.explain()
+    assert "decision-tested" in result.explain()
+    assert "candidate generator" not in plan.explain()
